@@ -138,12 +138,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         hint = canonical_power_dominating_set(args.dim)
     else:
         g = load_graph(args.graph)
-    report = build_report(g, checks=checks, exact_limit=args.exact_limit, hint=hint)
-    if hint is not None:
-        for key in ("gamma_p", "eta_p"):
-            section = report.get(key)
-            if section and section["upper_method"] == "hint-certificate":
-                section["upper_method"] = "canonical-certificate"
+    report = build_report(
+        g,
+        checks=checks,
+        exact_limit=args.exact_limit,
+        hint=hint,
+        hint_method="canonical-certificate",
+    )
     text = report_to_json(report)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")

@@ -119,14 +119,9 @@ def build_graph(labels: Sequence[str], edges: Iterable[tuple[str, str]]) -> Grap
     return Graph(tuple(index), tuple(frozenset(s) for s in adj))
 
 
-def open_neighborhood(g: Graph, v: int, r: int = 1) -> VertexSet:
-    """Vertices at distance exactly r from v (r=1 is the adjacency set)."""
-    g.check_vertex(v)
-    if r < 1:
-        raise GraphError(f"radius must be >= 1, got {r}")
-    if r == 1:
-        return g.neighbors(v)
-    return frozenset(u for u, d in enumerate(bfs_distances(g, v)) if d == r)
+def open_neighborhood(g: Graph, v: int) -> VertexSet:
+    """The adjacency set of v."""
+    return g.neighbors(v)
 
 
 def closed_neighborhood(g: Graph, s: Iterable[int]) -> VertexSet:
@@ -163,35 +158,6 @@ def bfs_distances(g: Graph, source: int) -> list[int]:
     return dist
 
 
-class DistanceMatrix:
-    """All-pairs hop distances; entries are UNREACHABLE across components."""
-
-    __slots__ = ("dist",)
-
-    def __init__(self, dist: list[list[int]]):
-        self.dist = dist
-
-    @property
-    def n(self) -> int:
-        return len(self.dist)
-
-    def get(self, u: int, v: int) -> int:
-        return self.dist[u][v]
-
-    def row(self, u: int) -> list[int]:
-        return self.dist[u]
-
-    def is_connected(self) -> bool:
-        return all(d != UNREACHABLE for row in self.dist for d in row)
-
-    def max_finite(self) -> int:
-        return max((d for row in self.dist for d in row), default=0)
-
-
-def all_pairs_distances(g: Graph) -> DistanceMatrix:
-    return DistanceMatrix([bfs_distances(g, u) for u in range(g.n)])
-
-
 def components(g: Graph) -> list[list[int]]:
     """Connected components as sorted id lists, ordered by smallest member."""
     seen = [False] * g.n
@@ -217,17 +183,46 @@ def is_connected(g: Graph) -> bool:
     return g.n <= 1 or len(components(g)) == 1
 
 
+def _farthest(dist: list[int]) -> int:
+    """Smallest id among the vertices farthest from the BFS source."""
+    return dist.index(max(dist))
+
+
 def diameter(g: Graph) -> int | None:
-    """Longest shortest path; None when the graph is disconnected."""
+    """Longest shortest path; None when the graph is disconnected.
+
+    Exact, by iFUB (Crescenzi et al., "On computing the diameter of
+    real-world undirected graphs", TCS 514, 2013). A double sweep gives a
+    lower bound and the midpoint u of a long shortest path. Eccentricities
+    are then taken level by level from the BFS tree of u, farthest level
+    first. Any two vertices at levels <= i are within 2i of each other
+    through u, so once the bound reaches 2i the rest cannot beat it.
+    """
     if g.n == 0:
         return 0
-    longest = 0
-    for u in range(g.n):
-        row = bfs_distances(g, u)
-        if UNREACHABLE in row:
-            return None
-        longest = max(longest, max(row))
-    return longest
+    from_first = bfs_distances(g, 0)
+    if UNREACHABLE in from_first:
+        return None
+    a = _farthest(from_first)
+    from_a = bfs_distances(g, a)
+    b = _farthest(from_a)
+    lower = from_a[b]
+    # Walk back from b along a shortest path to its midpoint.
+    u = b
+    while from_a[u] > lower // 2:
+        u = min(w for w in g._adj[u] if from_a[w] == from_a[u] - 1)
+    from_u = bfs_distances(g, u)
+    ecc_u = max(from_u)
+    lower = max(lower, ecc_u, max(from_first))
+    levels: list[list[int]] = [[] for _ in range(ecc_u + 1)]
+    for v, d in enumerate(from_u):
+        levels[d].append(v)
+    for i in range(ecc_u, 0, -1):
+        if lower >= 2 * i:
+            break
+        for v in levels[i]:
+            lower = max(lower, max(bfs_distances(g, v)))
+    return lower
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, list[int]]:

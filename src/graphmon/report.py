@@ -42,13 +42,16 @@ def build_report(
     exact_limit: int = 24,
     hint: Iterable[int] | None = None,
     timestamp: str | None = None,
+    hint_method: str = "hint-certificate",
 ) -> dict:
     """Assemble the analysis report for the requested checks.
 
     exact_limit caps exhaustive searches by vertex count; the combined
     resolving-and-monitoring search uses at most 16 regardless, since
-    its space grows the fastest. Passing a fixed timestamp makes the
-    output byte-reproducible.
+    its space grows the fastest. The hint is tried as the upper
+    certificate of every bounded section, and a section it certifies is
+    tagged hint_method. Passing a fixed timestamp makes the output
+    byte-reproducible.
     """
     wanted = list(checks)
     unknown = sorted(set(wanted) - set(KNOWN_CHECKS))
@@ -57,6 +60,9 @@ def build_report(
 
     def names(ids: Iterable[int]) -> list[str]:
         return [g.labels[v] for v in sorted(ids)]
+
+    def upper_method(method: str) -> str:
+        return hint_method if method == "hint-certificate" else method
 
     when = timestamp or datetime.now(timezone.utc).isoformat(timespec="seconds")
     diam = diameter(g)
@@ -77,24 +83,25 @@ def build_report(
         section["open_count"] = len(part.open_classes)
         section["closed_count"] = len(part.closed_classes)
         report["twin_census"] = section
+    power = None
     if "gamma_p" in wanted:
-        b = power_domination_bounds(g, exact_limit=exact_limit, hint=hint)
+        power = b = power_domination_bounds(g, exact_limit=exact_limit, hint=hint)
         report["gamma_p"] = {
             "lower": b.lower,
             "upper": b.upper,
             "certificate": names(b.certificate),
             "lower_method": b.lower_method,
-            "upper_method": b.upper_method,
+            "upper_method": upper_method(b.upper_method),
             "subsets_examined": b.subsets_examined,
         }
     if "dim" in wanted:
-        rb = metric_dimension_bounds(g, exact_limit=exact_limit)
+        rb = metric_dimension_bounds(g, exact_limit=exact_limit, hint=hint)
         report["dim"] = {
             "lower": rb.lower,
             "upper": rb.upper,
             "basis": names(rb.basis),
             "lower_method": rb.lower_method,
-            "upper_method": rb.upper_method,
+            "upper_method": upper_method(rb.upper_method),
         }
     if "eta_p" in wanted:
         eb = resolving_power_domination_bounds(
@@ -102,13 +109,14 @@ def build_report(
             exact_limit=min(exact_limit, ETA_P_EXACT_CAP),
             hint=hint,
             power_exact_limit=exact_limit,
+            power_bounds=power,
         )
         report["eta_p"] = {
             "lower": eb.lower,
             "upper": eb.upper,
             "certificate": names(eb.certificate),
             "lower_method": eb.lower_method,
-            "upper_method": eb.upper_method,
+            "upper_method": upper_method(eb.upper_method),
             "subsets_examined": eb.subsets_examined,
         }
     report["traces"] = None

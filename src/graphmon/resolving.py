@@ -24,8 +24,8 @@ from .core import (
     components,
     is_connected,
 )
-from .powerdom import is_power_dominating_set, power_domination_bounds
-from .twins import twin_partition
+from .powerdom import PowerDominationBounds, is_power_dominating_set, power_domination_bounds
+from .twins import TwinPartition, twin_partition
 
 
 def _require_connected(g: Graph, what: str) -> None:
@@ -104,6 +104,20 @@ def metric_dimension(g: Graph, limit: int = 24) -> tuple[int, tuple[int, ...]]:
     raise AssertionError("the full vertex set always resolves")
 
 
+def _twin_class_of(part: TwinPartition) -> dict[int, VertexSet]:
+    """Each vertex in a twin class of size >= 2, mapped to its class."""
+    return {v: cls for cls in part.open_classes + part.closed_classes for v in cls}
+
+
+def _drop_leaves_twin_out(v: int, kept: set[int], twin_class: dict[int, VertexSet]) -> bool:
+    """Whether removing v from kept would leave v and one of its twins out.
+
+    Twins outside a landmark set share every distance code, so such a
+    removal can never keep the set resolving (the twin lemma).
+    """
+    return any(u != v and u not in kept for u in twin_class.get(v, ()))
+
+
 def greedy_resolving_set(g: Graph) -> VertexSet:
     """Deterministic heuristic resolving set.
 
@@ -116,6 +130,7 @@ def greedy_resolving_set(g: Graph) -> VertexSet:
     if n <= 1:
         return frozenset()
     part = twin_partition(g)
+    twin_class = _twin_class_of(part)
     chosen: set[int] = set()
     for cls in part.open_classes + part.closed_classes:
         chosen.update(sorted(cls)[:-1])
@@ -151,8 +166,12 @@ def greedy_resolving_set(g: Graph) -> VertexSet:
             if gain > best_gain:
                 best_v, best_gain = v, gain
         chosen.add(best_v)
+    # Every landmark's row is cached by now, and the graph is connected.
     for v in sorted(chosen):
-        if len(chosen) > 1 and is_resolving_set(g, chosen - {v})[0]:
+        if len(chosen) <= 1 or _drop_leaves_twin_out(v, chosen, twin_class):
+            continue
+        rest = [rows[l] for l in sorted(chosen - {v})]
+        if len({tuple(r[x] for r in rest) for x in range(n)}) == n:
             chosen.discard(v)
     return frozenset(chosen)
 
@@ -166,17 +185,26 @@ class ResolvingBounds:
     upper_method: str
 
 
-def metric_dimension_bounds(g: Graph, exact_limit: int = 24) -> ResolvingBounds:
-    """Exact value when the graph is small enough, twin lower bound plus
-    greedy upper certificate otherwise."""
+def metric_dimension_bounds(
+    g: Graph, exact_limit: int = 24, hint: Iterable[int] | None = None
+) -> ResolvingBounds:
+    """Exact value when the graph is small enough; otherwise the twin lower
+    bound and a verified upper certificate (the hint when it resolves, the
+    greedy construction otherwise)."""
     _require_connected(g, "metric dimension")
     if g.n <= exact_limit:
         value, basis = metric_dimension(g, limit=exact_limit)
         return ResolvingBounds(value, value, basis, "exact-search", "exact-search")
     twin_lb = twin_resolving_lower_bound(g)
     lower = max(1, twin_lb)
-    basis = tuple(sorted(greedy_resolving_set(g)))
     method = "twin-lower" if twin_lb >= 1 else "trivial-lower"
+    if hint is not None:
+        hint_set = g.check_vertex_set(hint)
+        if is_resolving_set(g, hint_set)[0]:
+            return ResolvingBounds(
+                lower, len(hint_set), tuple(sorted(hint_set)), method, "hint-certificate"
+            )
+    basis = tuple(sorted(greedy_resolving_set(g)))
     return ResolvingBounds(lower, len(basis), basis, method, "greedy")
 
 
@@ -202,6 +230,7 @@ def resolving_power_domination_bounds(
     exact_limit: int = 16,
     hint: Iterable[int] | None = None,
     power_exact_limit: int = 24,
+    power_bounds: PowerDominationBounds | None = None,
 ) -> EtaPBounds:
     """Best-known bounds on the resolving power domination number.
 
@@ -211,12 +240,17 @@ def resolving_power_domination_bounds(
     sizes upward from that bound; larger ones get a verified certificate
     from the hint or from pruning the union of the greedy resolving set
     and the power domination certificate.
+
+    power_bounds, when given, must be what power_domination_bounds returns
+    for this graph, power_exact_limit and hint; it saves recomputing them.
     """
     _require_connected(g, "resolving power domination")
     n = g.n
     if n == 0:
         return EtaPBounds(0, 0, frozenset(), "exact-search", "exact-search")
-    gp = power_domination_bounds(g, exact_limit=power_exact_limit, hint=hint)
+    gp = power_bounds
+    if gp is None:
+        gp = power_domination_bounds(g, exact_limit=power_exact_limit, hint=hint)
     lower = max(1, twin_resolving_lower_bound(g), gp.lower)
 
     if n <= exact_limit:
@@ -236,8 +270,11 @@ def resolving_power_domination_bounds(
         hint_set = g.check_vertex_set(hint)
         if is_resolving_power_dominating(g, hint_set):
             return EtaPBounds(lower, len(hint_set), hint_set, "sandwich-lower", "hint-certificate")
+    twin_class = _twin_class_of(twin_partition(g))
     base = set(greedy_resolving_set(g)) | set(gp.certificate)
     for v in sorted(base):
-        if len(base) > 1 and is_resolving_power_dominating(g, base - {v}):
+        if len(base) <= 1 or _drop_leaves_twin_out(v, base, twin_class):
+            continue
+        if is_resolving_power_dominating(g, base - {v}):
             base.discard(v)
     return EtaPBounds(lower, len(base), frozenset(base), "sandwich-lower", "greedy-union")

@@ -32,11 +32,10 @@ def twin_partition(g: Graph) -> TwinPartition:
     """
     open_classes = _group_by_neighborhood([g.neighbors(v) for v in range(g.n)])
     closed_classes = _group_by_neighborhood([g.neighbors(v) | {v} for v in range(g.n)])
-    # In a simple graph a pair can never be open and closed twins at once
-    # (the conditions disagree on the pair's own adjacency).
-    for oc in open_classes:
-        for cc in closed_classes:
-            assert not (oc & cc), f"vertex in both twin kinds: {sorted(oc & cc)}"
+    # The two kinds of class are disjoint. Open twins are non-adjacent and
+    # closed twins are adjacent. If v had an open twin u and a closed twin w,
+    # then w in N(v) = N(u) would put u in N[w] = N[v], so u would be
+    # adjacent to v.
     return TwinPartition(open_classes, closed_classes)
 
 

@@ -1,5 +1,7 @@
 """Shared test utilities: seeded graph generators, an independent
-propagation engine, trace replay, and the randomized property suites.
+propagation engine, trace replay, the randomized property suites, and
+plain reference versions of library paths (all-pairs distances and
+diameter, the greedy passes without the twin-lemma skip).
 
 The suites live here so the property tests and the acceptance gate can
 run the same logic on different seeds. Every suite returns a list of
@@ -9,16 +11,21 @@ violation descriptions; passing means the list is empty.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from itertools import combinations
 
 from graphmon import (
     Graph,
+    GraphError,
+    bfs_distances,
     brute_force,
     build_graph,
     closed_neighborhood,
     greedy_power_dominating_set,
     is_connected,
     is_power_dominating_set,
+    is_resolving_power_dominating,
+    is_resolving_set,
     metric_dimension,
     monitoring_closure,
     open_neighborhood_of_set,
@@ -27,7 +34,84 @@ from graphmon import (
     twin_lower_bound,
     twin_partition,
 )
-from graphmon.core import all_pairs_distances
+from graphmon.core import UNREACHABLE
+
+
+class DistanceMatrix:
+    """All-pairs hop distances; entries are UNREACHABLE across components."""
+
+    __slots__ = ("dist",)
+
+    def __init__(self, dist: list[list[int]]):
+        self.dist = dist
+
+    def get(self, u: int, v: int) -> int:
+        return self.dist[u][v]
+
+    def is_connected(self) -> bool:
+        return all(d != UNREACHABLE for row in self.dist for d in row)
+
+    def max_finite(self) -> int:
+        return max((d for row in self.dist for d in row), default=0)
+
+
+def all_pairs_distances(g: Graph) -> DistanceMatrix:
+    return DistanceMatrix([bfs_distances(g, u) for u in range(g.n)])
+
+
+def all_pairs_diameter(g: Graph) -> int | None:
+    """Reference diameter from a BFS at every vertex; None when disconnected."""
+    dm = all_pairs_distances(g)
+    return dm.max_finite() if dm.is_connected() else None
+
+
+def distance_sphere(g: Graph, v: int, r: int) -> frozenset[int]:
+    """Vertices at distance exactly r from v (r=1 is the adjacency set)."""
+    g.check_vertex(v)
+    if r < 1:
+        raise GraphError(f"radius must be >= 1, got {r}")
+    return frozenset(u for u, d in enumerate(bfs_distances(g, v)) if d == r)
+
+
+def greedy_resolving_set_reference(g: Graph) -> frozenset[int]:
+    """The greedy resolving construction with a naive removal pass: every
+    landmark is tried with a full is_resolving_set call, twin or not."""
+    n = g.n
+    if n <= 1:
+        return frozenset()
+    part = twin_partition(g)
+    chosen: set[int] = set()
+    for cls in part.open_classes + part.closed_classes:
+        chosen.update(sorted(cls)[:-1])
+    rows = [bfs_distances(g, v) for v in range(n)]
+    while True:
+        buckets: dict[tuple[int, ...], list[int]] = {}
+        for v in range(n):
+            buckets.setdefault(tuple(rows[l][v] for l in sorted(chosen)), []).append(v)
+        groups = [vs for vs in buckets.values() if len(vs) >= 2]
+        if not groups:
+            break
+        # pairs left colliding after adding v; the first v with fewest wins
+        def colliding(v: int) -> int:
+            return sum(
+                sum(c * (c - 1) // 2 for c in Counter(rows[v][u] for u in vs).values())
+                for vs in groups
+            )
+
+        chosen.add(min((v for v in range(n) if v not in chosen), key=colliding))
+    for v in sorted(chosen):
+        if len(chosen) > 1 and is_resolving_set(g, chosen - {v})[0]:
+            chosen.discard(v)
+    return frozenset(chosen)
+
+
+def greedy_union_reference(g: Graph, power_certificate) -> frozenset[int]:
+    """The greedy-union eta_p certificate with a naive pruning pass."""
+    base = set(greedy_resolving_set_reference(g)) | set(power_certificate)
+    for v in sorted(base):
+        if len(base) > 1 and is_resolving_power_dominating(g, base - {v}):
+            base.discard(v)
+    return frozenset(base)
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:

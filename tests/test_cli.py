@@ -106,13 +106,15 @@ def test_analyze_generated_network(tmp_path):
 
 
 def test_analyze_uses_canonical_tag():
-    proc = run_cli("analyze", "--dim", "2", "--checks", "gamma-p")
+    proc = run_cli("analyze", "--dim", "2", "--checks", "gamma-p,dim")
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
     assert report["gamma_p"]["lower"] == report["gamma_p"]["upper"] == 16
     assert report["gamma_p"]["lower_method"] == "lemma2-lower"
     assert report["gamma_p"]["upper_method"] == "canonical-certificate"
-    assert "dim" not in report
+    assert report["dim"]["lower"] == report["dim"]["upper"] == 16
+    assert report["dim"]["upper_method"] == "canonical-certificate"
+    assert "eta_p" not in report
 
 
 def test_analyze_twins_only(c4_file):

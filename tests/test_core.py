@@ -6,20 +6,27 @@ import pytest
 
 from graphmon import (
     GraphError,
-    all_pairs_distances,
     bfs_distances,
     build_graph,
     closed_neighborhood,
     components,
     diameter,
+    fractal_cubic_network,
     induced_subgraph,
     is_connected,
     open_neighborhood,
     open_neighborhood_of_set,
 )
+import graphmon.core
 from graphmon.core import UNREACHABLE
 
-from _helpers import random_graph
+from _helpers import (
+    all_pairs_diameter,
+    all_pairs_distances,
+    distance_sphere,
+    random_connected_graph,
+    random_graph,
+)
 
 
 def bfs_by_levels(g, source):
@@ -134,9 +141,10 @@ def test_unreachable_distance():
 
 def test_open_neighborhood_radius(c4):
     assert open_neighborhood(c4, 0) == c4.neighbors(0)
-    assert open_neighborhood(c4, 0, r=2) == frozenset({c4.index("11")})
+    assert distance_sphere(c4, 0, 1) == c4.neighbors(0)
+    assert distance_sphere(c4, 0, 2) == frozenset({c4.index("11")})
     with pytest.raises(GraphError):
-        open_neighborhood(c4, 0, r=0)
+        distance_sphere(c4, 0, 0)
 
 
 def test_open_neighborhood_matches_bfs_ring():
@@ -144,11 +152,8 @@ def test_open_neighborhood_matches_bfs_ring():
     for _ in range(20):
         g = random_graph(rng, rng.randint(2, 25), rng.uniform(0.1, 0.4))
         v = rng.randrange(g.n)
-        r = rng.randint(1, 4)
         dist = bfs_distances(g, v)
-        assert open_neighborhood(g, v, r) == frozenset(
-            u for u in range(g.n) if dist[u] == r
-        )
+        assert open_neighborhood(g, v) == frozenset(u for u in range(g.n) if dist[u] == 1)
 
 
 def test_set_neighborhood_identities(c4):
@@ -169,6 +174,44 @@ def test_diameter_small_cases(c4, path4):
     assert diameter(path4) == 3
     assert diameter(build_graph(["only"], [])) == 0
     assert diameter(build_graph([], [])) == 0
+
+
+def _labelled(n, edges):
+    labels = [f"v{i}" for i in range(n)]
+    return build_graph(labels, [(labels[a], labels[b]) for a, b in edges])
+
+
+def test_diameter_matches_all_pairs():
+    rng = random.Random(59)
+    graphs = [_labelled(0, []), _labelled(1, []), _labelled(2, [])]
+    for n in range(2, 12):
+        graphs.append(_labelled(n, [(i, i + 1) for i in range(n - 1)]))
+        graphs.append(_labelled(n, [(i, (i + 1) % n) for i in range(n)]))
+        complete = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        graphs.append(_labelled(n, complete))
+        graphs.append(_labelled(n, complete[:-1]))
+    for _ in range(60):
+        n = rng.randint(1, 40)
+        graphs.append(_labelled(n, [(rng.randrange(i), i) for i in range(1, n)]))
+        graphs.append(random_connected_graph(rng, n, rng.uniform(0.0, 0.3)))
+        graphs.append(random_graph(rng, n, rng.uniform(0.02, 0.4)))
+    assert any(diameter(g) is None for g in graphs)
+    for g in graphs:
+        assert diameter(g) == all_pairs_diameter(g)
+
+
+@pytest.mark.parametrize("d", range(7))
+def test_diameter_of_fcn_takes_few_searches(d, monkeypatch):
+    g = fractal_cubic_network(d)
+    calls = []
+
+    def counting(graph, source):
+        calls.append(source)
+        return bfs_distances(graph, source)
+
+    monkeypatch.setattr(graphmon.core, "bfs_distances", counting)
+    assert diameter(g) == 2 ** (d + 2) - 2
+    assert len(calls) <= 8
 
 
 def test_induced_subgraph_keeps_internal_edges(path4):

@@ -7,7 +7,6 @@ import pytest
 from graphmon import (
     GraphError,
     LimitExceeded,
-    all_pairs_distances,
     canonical_partition,
     canonical_power_dominating_set,
     closed_neighborhood,
@@ -16,6 +15,8 @@ from graphmon import (
     is_connected,
     open_neighborhood_of_set,
 )
+
+from _helpers import all_pairs_distances
 
 # n = 4^(d+1); m follows m(d) = 4*m(d-1) + 4 from m(0) = 4
 EXPECTED_CENSUS = [(4, 4), (16, 20), (64, 84), (256, 340), (1024, 1364), (4096, 5460)]

@@ -11,6 +11,8 @@ from graphmon import (
     report_to_json,
     verify_report,
 )
+import graphmon.report
+import graphmon.resolving
 from graphmon.version import VERSION
 
 STAMP = "2026-01-01T00:00:00+00:00"
@@ -70,9 +72,39 @@ def test_fcn2_report_tags(fcn2):
     assert report["gamma_p"]["lower_method"] == "lemma2-lower"
     assert report["gamma_p"]["upper_method"] == "hint-certificate"
     assert report["dim"]["lower"] == report["dim"]["upper"] == 16
+    assert report["dim"]["upper_method"] == "hint-certificate"
     assert report["eta_p"]["lower"] == report["eta_p"]["upper"] == 16
     assert report["eta_p"]["lower_method"] == "sandwich-lower"
     assert verify_report(fcn2, report) == []
+
+
+def test_hint_method_names_the_hint(fcn2):
+    from graphmon import canonical_power_dominating_set
+
+    hint = canonical_power_dominating_set(2)
+    tagged = build_report(fcn2, hint=hint, timestamp=STAMP, hint_method="canonical-certificate")
+    plain = build_report(fcn2, hint=hint, timestamp=STAMP)
+    for key in ("gamma_p", "dim", "eta_p"):
+        assert tagged[key]["upper_method"] == "canonical-certificate"
+        plain[key]["upper_method"] = "canonical-certificate"
+    assert tagged == plain
+
+
+@pytest.mark.parametrize("graph", ["c4", "fcn2"])
+def test_power_domination_bounds_computed_once(graph, request, monkeypatch):
+    g = request.getfixturevalue(graph)
+    calls = []
+    original = graphmon.report.power_domination_bounds
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(graphmon.report, "power_domination_bounds", counting)
+    monkeypatch.setattr(graphmon.resolving, "power_domination_bounds", counting)
+    report = build_report(g, timestamp=STAMP)
+    assert len(calls) == 1
+    assert verify_report(g, report) == []
 
 
 def test_verify_clean_report(c4):

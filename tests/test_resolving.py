@@ -12,18 +12,25 @@ from graphmon import (
     codes_to_csv,
     distance_codes,
     fractal_cubic_network,
+    greedy_power_dominating_set,
     greedy_resolving_set,
     is_resolving_power_dominating,
     is_resolving_set,
     metric_dimension,
     metric_dimension_bounds,
+    power_domination_bounds,
     resolving_power_domination_bounds,
     twin_lower_bound,
     twin_partition,
     twin_resolving_lower_bound,
 )
 
-from _helpers import random_connected_graph
+from _helpers import (
+    greedy_resolving_set_reference,
+    greedy_union_reference,
+    random_connected_graph,
+    with_planted_twins,
+)
 
 
 def two_triangles():
@@ -148,6 +155,36 @@ def test_greedy_resolving_on_random_graphs():
         assert greedy_resolving_set(g) == landmarks
 
 
+def test_greedy_resolving_matches_naive_removal_pass():
+    rng = random.Random(61)
+    for _ in range(60):
+        base = random_connected_graph(rng, rng.randint(2, 14), rng.uniform(0.1, 0.5))
+        g = with_planted_twins(rng, base, rng.randint(0, 5))
+        assert greedy_resolving_set(g) == greedy_resolving_set_reference(g)
+
+
+def test_greedy_union_matches_naive_pruning():
+    rng = random.Random(67)
+    for case in range(80):
+        base = random_connected_graph(rng, rng.randint(2, 12), rng.uniform(0.1, 0.5))
+        g = with_planted_twins(rng, base, rng.randint(1, 5))
+        # Half the cases seed the union with a monitoring set that holds the
+        # largest member of every open twin class: the image of the greedy
+        # one under the automorphism swapping each class's ends.
+        hint = None
+        if case % 2:
+            swap = {}
+            for cls in twin_partition(g).open_classes:
+                swap[min(cls)], swap[max(cls)] = max(cls), min(cls)
+            hint = {swap.get(v, v) for v in greedy_power_dominating_set(g)}
+        b = resolving_power_domination_bounds(g, exact_limit=0, hint=hint, power_exact_limit=0)
+        if b.upper_method == "hint-certificate":
+            continue
+        assert b.upper_method == "greedy-union"
+        power = power_domination_bounds(g, exact_limit=0, hint=hint)
+        assert b.certificate == greedy_union_reference(g, power.certificate)
+
+
 def test_codes_csv(c4):
     assert codes_to_csv(c4, [0, 1]) == (
         "vertex,00,01\n00,0,1\n01,1,0\n10,1,2\n11,2,1\n"
@@ -210,6 +247,24 @@ def test_metric_dimension_bounds_exact_and_greedy(c4, fcn2):
     assert wide.lower_method == "twin-lower"
     assert wide.upper_method == "greedy"
     assert is_resolving_set(fcn2, wide.basis)[0]
+
+
+def test_metric_dimension_bounds_hint(fcn2):
+    hint = canonical_power_dominating_set(2)
+    b = metric_dimension_bounds(fcn2, hint=hint)
+    assert (b.lower, b.upper) == (16, 16)
+    assert b.basis == tuple(sorted(hint))
+    assert (b.lower_method, b.upper_method) == ("twin-lower", "hint-certificate")
+    missing_twin = sorted(hint)[1:]
+    fallback = metric_dimension_bounds(fcn2, hint=missing_twin)
+    assert fallback.upper_method == "greedy"
+    assert fallback == metric_dimension_bounds(fcn2)
+
+
+def test_metric_dimension_bounds_fcn4_without_hint():
+    b = metric_dimension_bounds(fractal_cubic_network(4))
+    assert (b.lower, b.upper) == (256, 256)
+    assert b.upper_method == "greedy"
 
 
 def test_twin_lower_bound_consistency(fcn1):

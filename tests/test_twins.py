@@ -3,10 +3,11 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphmon import (
     GraphError,
-    all_pairs_distances,
     are_closed_twins,
     are_open_twins,
     build_graph,
@@ -15,7 +16,7 @@ from graphmon import (
     twin_report,
 )
 
-from _helpers import random_graph, with_planted_twins
+from _helpers import all_pairs_distances, random_graph, with_planted_twins
 
 
 def complete_graph(k):
@@ -132,3 +133,21 @@ def test_twin_distance_identity_on_fcn(fcn1):
 def test_twin_report_uses_labels(c4):
     report = twin_report(c4)
     assert report == {"open": [["00", "11"], ["01", "10"]], "closed": []}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 10),
+    p=st.floats(0.0, 1.0),
+    copies=st.integers(0, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_twin_kinds_are_disjoint(n, p, copies, seed):
+    rng = random.Random(seed)
+    g = with_planted_twins(rng, random_graph(rng, n, p), copies)
+    part = twin_partition(g)
+    in_open = set().union(*part.open_classes)
+    in_closed = set().union(*part.closed_classes)
+    assert not in_open & in_closed
+    assert sum(map(len, part.open_classes)) == len(in_open)
+    assert sum(map(len, part.closed_classes)) == len(in_closed)
