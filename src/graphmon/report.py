@@ -83,16 +83,16 @@ def build_report(
         section["open_count"] = len(part.open_classes)
         section["closed_count"] = len(part.closed_classes)
         report["twin_census"] = section
-    power = None
+    if "gamma_p" in wanted or "eta_p" in wanted:
+        power = power_domination_bounds(g, exact_limit=exact_limit, hint=hint)
     if "gamma_p" in wanted:
-        power = b = power_domination_bounds(g, exact_limit=exact_limit, hint=hint)
         report["gamma_p"] = {
-            "lower": b.lower,
-            "upper": b.upper,
-            "certificate": names(b.certificate),
-            "lower_method": b.lower_method,
-            "upper_method": upper_method(b.upper_method),
-            "subsets_examined": b.subsets_examined,
+            "lower": power.lower,
+            "upper": power.upper,
+            "certificate": names(power.certificate),
+            "lower_method": power.lower_method,
+            "upper_method": upper_method(power.upper_method),
+            "subsets_examined": power.subsets_examined,
         }
     if "dim" in wanted:
         rb = metric_dimension_bounds(g, exact_limit=exact_limit, hint=hint)
@@ -108,7 +108,6 @@ def build_report(
             g,
             exact_limit=min(exact_limit, ETA_P_EXACT_CAP),
             hint=hint,
-            power_exact_limit=exact_limit,
             power_bounds=power,
         )
         report["eta_p"] = {

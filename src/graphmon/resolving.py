@@ -13,7 +13,7 @@ import csv
 import io
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .core import (
     Graph,
@@ -33,14 +33,49 @@ def _require_connected(g: Graph, what: str) -> None:
         raise GraphError(f"{what} requires a connected graph, found {len(components(g))} components")
 
 
+def _codes(rows: Sequence[Sequence[int]], n: int) -> list[tuple[int, ...]]:
+    """Per-vertex codes from one BFS row per landmark, in row order."""
+    return list(zip(*rows)) if rows else [()] * n
+
+
+def _resolves(rows, marks: Iterable[int], n: int) -> bool:
+    """Whether marks resolve all n vertices; rows[l] is the BFS row of landmark l."""
+    return len(set(_codes([rows[l] for l in marks], n))) == n
+
+
+def _smallest_subset(n: int, start: int, accept: Callable[[tuple], bool]) -> tuple[tuple, int]:
+    """First subset of range(n) that accept takes, by size from start up and
+    then in lexicographic order, with the number of subsets examined."""
+    examined = 0
+    for k in range(start, n + 1):
+        for subset in combinations(range(n), k):
+            examined += 1
+            if accept(subset):
+                return subset, examined
+    raise AssertionError("the full vertex set always qualifies")
+
+
+def _prune(kept: set[int], part: TwinPartition, keeps: Callable[[set[int]], bool]) -> None:
+    """Drop members of kept in id order while keeps accepts the rest.
+
+    A drop that would leave a vertex and one of its twins out is skipped
+    unasked: twins outside a landmark set share every distance code, so
+    such a set never resolves (the twin lemma).
+    """
+    twin_class = {v: cls for cls in part.open_classes + part.closed_classes for v in cls}
+    for v in sorted(kept):
+        twin_out = any(u != v and u not in kept for u in twin_class.get(v, ()))
+        if len(kept) > 1 and not twin_out and keeps(kept - {v}):
+            kept.discard(v)
+
+
 def distance_codes(g: Graph, landmarks: Sequence[int]) -> list[tuple[int, ...]]:
     """Distance vector of every vertex to the landmarks, in landmark order."""
     _require_connected(g, "distance coding")
     marks = list(landmarks)
     for v in marks:
         g.check_vertex(v)
-    rows = [bfs_distances(g, v) for v in marks]
-    return [tuple(row[v] for row in rows) for v in range(g.n)]
+    return _codes([bfs_distances(g, v) for v in marks], g.n)
 
 
 def is_resolving_set(g: Graph, landmarks: Iterable[int]) -> tuple[bool, tuple[int, int] | None]:
@@ -96,26 +131,8 @@ def metric_dimension(g: Graph, limit: int = 24) -> tuple[int, tuple[int, ...]]:
         return 0, ()
     rows = [bfs_distances(g, v) for v in range(n)]
     start = max(1, twin_resolving_lower_bound(g))
-    for k in range(start, n + 1):
-        for subset in combinations(range(n), k):
-            codes = {tuple(rows[l][v] for l in subset) for v in range(n)}
-            if len(codes) == n:
-                return k, subset
-    raise AssertionError("the full vertex set always resolves")
-
-
-def _twin_class_of(part: TwinPartition) -> dict[int, VertexSet]:
-    """Each vertex in a twin class of size >= 2, mapped to its class."""
-    return {v: cls for cls in part.open_classes + part.closed_classes for v in cls}
-
-
-def _drop_leaves_twin_out(v: int, kept: set[int], twin_class: dict[int, VertexSet]) -> bool:
-    """Whether removing v from kept would leave v and one of its twins out.
-
-    Twins outside a landmark set share every distance code, so such a
-    removal can never keep the set resolving (the twin lemma).
-    """
-    return any(u != v and u not in kept for u in twin_class.get(v, ()))
+    basis, _ = _smallest_subset(n, start, lambda s: _resolves(rows, s, n))
+    return len(basis), basis
 
 
 def greedy_resolving_set(g: Graph) -> VertexSet:
@@ -130,7 +147,6 @@ def greedy_resolving_set(g: Graph) -> VertexSet:
     if n <= 1:
         return frozenset()
     part = twin_partition(g)
-    twin_class = _twin_class_of(part)
     chosen: set[int] = set()
     for cls in part.open_classes + part.closed_classes:
         chosen.update(sorted(cls)[:-1])
@@ -142,10 +158,9 @@ def greedy_resolving_set(g: Graph) -> VertexSet:
         return rows[v]
 
     while True:
-        marks = sorted(chosen)
         buckets: dict[tuple[int, ...], list[int]] = {}
-        for v in range(n):
-            buckets.setdefault(tuple(row(l)[v] for l in marks), []).append(v)
+        for v, code in enumerate(_codes([row(l) for l in sorted(chosen)], n)):
+            buckets.setdefault(code, []).append(v)
         groups = [vs for vs in buckets.values() if len(vs) >= 2]
         if not groups:
             break
@@ -166,13 +181,8 @@ def greedy_resolving_set(g: Graph) -> VertexSet:
             if gain > best_gain:
                 best_v, best_gain = v, gain
         chosen.add(best_v)
-    # Every landmark's row is cached by now, and the graph is connected.
-    for v in sorted(chosen):
-        if len(chosen) <= 1 or _drop_leaves_twin_out(v, chosen, twin_class):
-            continue
-        rest = [rows[l] for l in sorted(chosen - {v})]
-        if len({tuple(r[x] for r in rest) for x in range(n)}) == n:
-            chosen.discard(v)
+    # Every landmark's row is cached by now.
+    _prune(chosen, part, lambda rest: _resolves(rows, rest, n))
     return frozenset(chosen)
 
 
@@ -229,7 +239,6 @@ def resolving_power_domination_bounds(
     g: Graph,
     exact_limit: int = 16,
     hint: Iterable[int] | None = None,
-    power_exact_limit: int = 24,
     power_bounds: PowerDominationBounds | None = None,
 ) -> EtaPBounds:
     """Best-known bounds on the resolving power domination number.
@@ -242,39 +251,30 @@ def resolving_power_domination_bounds(
     and the power domination certificate.
 
     power_bounds, when given, must be what power_domination_bounds returns
-    for this graph, power_exact_limit and hint; it saves recomputing them.
+    for this graph and hint; it saves recomputing them. Without it they
+    are computed with that function's default exact limit.
     """
     _require_connected(g, "resolving power domination")
     n = g.n
     if n == 0:
         return EtaPBounds(0, 0, frozenset(), "exact-search", "exact-search")
-    gp = power_bounds
-    if gp is None:
-        gp = power_domination_bounds(g, exact_limit=power_exact_limit, hint=hint)
+    gp = power_bounds if power_bounds is not None else power_domination_bounds(g, hint=hint)
     lower = max(1, twin_resolving_lower_bound(g), gp.lower)
 
     if n <= exact_limit:
         rows = [bfs_distances(g, v) for v in range(n)]
-        examined = 0
-        for k in range(lower, n + 1):
-            for subset in combinations(range(n), k):
-                examined += 1
-                codes = {tuple(rows[l][v] for l in subset) for v in range(n)}
-                if len(codes) == n and is_power_dominating_set(g, subset):
-                    return EtaPBounds(
-                        k, k, frozenset(subset), "exact-search", "exact-search", examined
-                    )
-        raise AssertionError("the full vertex set always qualifies")
+        best, examined = _smallest_subset(
+            n, lower, lambda s: _resolves(rows, s, n) and is_power_dominating_set(g, s)
+        )
+        k = len(best)
+        return EtaPBounds(k, k, frozenset(best), "exact-search", "exact-search", examined)
 
     if hint is not None:
         hint_set = g.check_vertex_set(hint)
         if is_resolving_power_dominating(g, hint_set):
             return EtaPBounds(lower, len(hint_set), hint_set, "sandwich-lower", "hint-certificate")
-    twin_class = _twin_class_of(twin_partition(g))
+    part = twin_partition(g)
     base = set(greedy_resolving_set(g)) | set(gp.certificate)
-    for v in sorted(base):
-        if len(base) <= 1 or _drop_leaves_twin_out(v, base, twin_class):
-            continue
-        if is_resolving_power_dominating(g, base - {v}):
-            base.discard(v)
+    rows = {v: bfs_distances(g, v) for v in base}
+    _prune(base, part, lambda rest: is_power_dominating_set(g, rest) and _resolves(rows, rest, n))
     return EtaPBounds(lower, len(base), frozenset(base), "sandwich-lower", "greedy-union")

@@ -1,7 +1,8 @@
 """Shared test utilities: seeded graph generators, an independent
 propagation engine, trace replay, the randomized property suites, and
 plain reference versions of library paths (all-pairs distances and
-diameter, the greedy passes without the twin-lemma skip).
+diameter, the resolving check, the exact eta_p search, the greedy
+passes without the twin-lemma skip).
 
 The suites live here so the property tests and the acceptance gate can
 run the same logic on different seeds. Every suite returns a list of
@@ -71,6 +72,32 @@ def distance_sphere(g: Graph, v: int, r: int) -> frozenset[int]:
     if r < 1:
         raise GraphError(f"radius must be >= 1, got {r}")
     return frozenset(u for u, d in enumerate(bfs_distances(g, v)) if d == r)
+
+
+def resolving_set_reference(g: Graph, landmarks) -> tuple[bool, tuple[int, int] | None]:
+    """is_resolving_set from per-vertex tuple codes: the witness is the
+    smallest colliding code's two smallest vertex ids."""
+    dist = all_pairs_distances(g)
+    marks = sorted(set(landmarks))
+    holders: dict[tuple[int, ...], list[int]] = {}
+    for v in range(g.n):
+        holders.setdefault(tuple(dist.get(l, v) for l in marks), []).append(v)
+    clashes = [vs for _, vs in sorted(holders.items()) if len(vs) >= 2]
+    return (False, (clashes[0][0], clashes[0][1])) if clashes else (True, None)
+
+
+def eta_p_exact_reference(g: Graph, start: int) -> tuple[int, frozenset[int], int]:
+    """Smallest set that resolves and power-dominates, by size from start
+    and then lexicographically: (size, set, subsets examined)."""
+    dist = all_pairs_distances(g)
+    examined = 0
+    for k in range(start, g.n + 1):
+        for subset in combinations(range(g.n), k):
+            examined += 1
+            codes = {tuple(dist.get(l, v) for l in subset) for v in range(g.n)}
+            if len(codes) == g.n and is_power_dominating_set(g, subset):
+                return k, frozenset(subset), examined
+    raise ValueError("no set qualifies, so the graph is not connected")
 
 
 def greedy_resolving_set_reference(g: Graph) -> frozenset[int]:

@@ -57,7 +57,10 @@ def test_metric_dimension_agrees_with_oracle():
     rng = random.Random(108)
     for _ in range(150):
         g = random_connected_graph(rng, rng.randint(1, 8), rng.uniform(0.2, 0.7))
-        assert metric_dimension(g)[0] == brute_force(g, "dim").optimum
+        value, basis = metric_dimension(g)
+        oracle = brute_force(g, "dim")
+        assert value == oracle.optimum
+        assert frozenset(basis) == oracle.certificate
 
 
 def test_pds_superset_property():

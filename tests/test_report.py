@@ -107,6 +107,26 @@ def test_power_domination_bounds_computed_once(graph, request, monkeypatch):
     assert verify_report(g, report) == []
 
 
+def test_eta_p_alone_uses_the_reports_power_bounds():
+    # n=8 with exact_limit=4: eta_p is not searched exhaustively, and its
+    # greedy-union certificate starts from the gamma_p certificate. That
+    # certificate is greedy at this limit and exact at the default one,
+    # and the two differ here.
+    g = build_graph(
+        ["v00", "v01", "v02", "v03", "v04", "v05", "t00", "t01"],
+        [
+            ("v00", "v01"), ("v00", "v02"), ("v00", "v03"), ("v00", "t01"), ("v01", "v03"),
+            ("v01", "v04"), ("v02", "v05"), ("v02", "t00"), ("v03", "v05"), ("v03", "t00"),
+            ("v03", "t01"), ("v04", "v05"), ("v04", "t00"), ("v04", "t01"), ("v05", "t00"),
+        ],
+    )
+    alone = build_report(g, checks=["eta_p"], exact_limit=4, timestamp=STAMP)
+    paired = build_report(g, checks=["gamma_p", "eta_p"], exact_limit=4, timestamp=STAMP)
+    assert alone["eta_p"] == paired["eta_p"]
+    assert alone["eta_p"]["upper_method"] == "greedy-union"
+    assert verify_report(g, alone) == []
+
+
 def test_verify_clean_report(c4):
     report = build_report(c4, timestamp=STAMP)
     assert verify_report(c4, report) == []

@@ -26,9 +26,11 @@ from graphmon import (
 )
 
 from _helpers import (
+    eta_p_exact_reference,
     greedy_resolving_set_reference,
     greedy_union_reference,
     random_connected_graph,
+    resolving_set_reference,
     with_planted_twins,
 )
 
@@ -97,6 +99,17 @@ def test_empty_landmarks():
     pair = build_graph(["v", "w"], [("v", "w")])
     ok, witness = is_resolving_set(pair, [])
     assert not ok and witness == (0, 1)
+
+
+def test_is_resolving_set_matches_tuple_codes():
+    rng = random.Random(71)
+    for n in range(1, 15):
+        for _ in range(12):
+            g = random_connected_graph(rng, n, rng.uniform(0.1, 0.6))
+            few = set(rng.sample(range(n), rng.randint(1, min(3, n))))
+            many = set(rng.sample(range(n), rng.randint(1, n)))
+            for marks in (set(), few, many):
+                assert is_resolving_set(g, marks) == resolving_set_reference(g, marks)
 
 
 def test_metric_dimension_c4(c4):
@@ -177,11 +190,11 @@ def test_greedy_union_matches_naive_pruning():
             for cls in twin_partition(g).open_classes:
                 swap[min(cls)], swap[max(cls)] = max(cls), min(cls)
             hint = {swap.get(v, v) for v in greedy_power_dominating_set(g)}
-        b = resolving_power_domination_bounds(g, exact_limit=0, hint=hint, power_exact_limit=0)
+        power = power_domination_bounds(g, exact_limit=0, hint=hint)
+        b = resolving_power_domination_bounds(g, exact_limit=0, hint=hint, power_bounds=power)
         if b.upper_method == "hint-certificate":
             continue
         assert b.upper_method == "greedy-union"
-        power = power_domination_bounds(g, exact_limit=0, hint=hint)
         assert b.certificate == greedy_union_reference(g, power.certificate)
 
 
@@ -231,6 +244,17 @@ def test_eta_bounds_fcn2_without_hint(fcn2):
     assert b.upper_method == "greedy-union"
     assert is_resolving_power_dominating(fcn2, b.certificate)
     assert len(b.certificate) == b.upper
+
+
+def test_eta_p_exact_matches_naive_search():
+    rng = random.Random(73)
+    for _ in range(40):
+        base = random_connected_graph(rng, rng.randint(2, 8), rng.uniform(0.1, 0.5))
+        g = with_planted_twins(rng, base, rng.randint(0, 4))
+        b = resolving_power_domination_bounds(g)
+        assert b.upper_method == "exact-search"
+        start = max(1, twin_resolving_lower_bound(g), power_domination_bounds(g).lower)
+        assert (b.lower, b.certificate, b.subsets_examined) == eta_p_exact_reference(g, start)
 
 
 def test_eta_rejects_disconnected():
