@@ -7,6 +7,7 @@ number grow as 4 to the power of the network dimension.
 """
 
 from .core import (
+    Bounds,
     Graph,
     GraphError,
     LimitExceeded,
@@ -38,7 +39,6 @@ from .formats import (
 )
 from .oracle import OracleResult, brute_force
 from .powerdom import (
-    PowerDominationBounds,
     Propagation,
     PropagationTrace,
     TwinClassBound,
@@ -52,8 +52,6 @@ from .powerdom import (
 )
 from .report import build_report, degree_histogram, report_to_json, verify_report
 from .resolving import (
-    EtaPBounds,
-    ResolvingBounds,
     codes_to_csv,
     distance_codes,
     greedy_resolving_set,
@@ -74,6 +72,7 @@ from .twins import (
 from .version import VERSION as __version__
 
 __all__ = [
+    "Bounds",
     "Graph",
     "GraphError",
     "LimitExceeded",
@@ -100,7 +99,6 @@ __all__ = [
     "to_json_text",
     "OracleResult",
     "brute_force",
-    "PowerDominationBounds",
     "Propagation",
     "PropagationTrace",
     "TwinClassBound",
@@ -115,8 +113,6 @@ __all__ = [
     "degree_histogram",
     "report_to_json",
     "verify_report",
-    "EtaPBounds",
-    "ResolvingBounds",
     "codes_to_csv",
     "distance_codes",
     "greedy_resolving_set",

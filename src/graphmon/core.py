@@ -1,9 +1,12 @@
-"""Immutable simple-graph representation and the distance queries built on it."""
+"""Immutable simple-graph representation, the distance queries built on it,
+and the bounds type and subset search shared by the invariant modules."""
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Iterator, Sequence
+from dataclasses import dataclass
+from itertools import combinations
+from typing import Callable, Iterable, Iterator, Sequence
 
 VertexSet = frozenset[int]
 
@@ -232,3 +235,33 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, list[int
     labels = tuple(g.labels[v] for v in old_ids)
     adj = tuple(frozenset(rank[u] for u in g._adj[v] if u in rank) for v in old_ids)
     return Graph(labels, adj), old_ids
+
+
+@dataclass(frozen=True)
+class Bounds:
+    """Lower and upper bound on one invariant, with the upper certificate.
+
+    The method tags say where each number came from; an exhaustive search
+    also counts the candidate subsets it examined.
+    """
+
+    lower: int
+    upper: int
+    certificate: VertexSet
+    lower_method: str
+    upper_method: str
+    subsets_examined: int | None = None
+
+
+def smallest_subset(
+    n: int, start: int, accept: Callable[[tuple[int, ...]], bool]
+) -> tuple[tuple[int, ...], int]:
+    """First subset of range(n) that accept takes, by size from start up and
+    then in lexicographic order, with the number of subsets examined."""
+    examined = 0
+    for k in range(start, n + 1):
+        for subset in combinations(range(n), k):
+            examined += 1
+            if accept(subset):
+                return subset, examined
+    raise AssertionError("the full vertex set always qualifies")

@@ -13,7 +13,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-from .core import Graph, VertexSet, closed_neighborhood, components, induced_subgraph
+from .core import (
+    Bounds,
+    Graph,
+    VertexSet,
+    closed_neighborhood,
+    components,
+    induced_subgraph,
+    smallest_subset,
+)
 from .twins import twin_partition
 
 
@@ -43,11 +51,12 @@ def monitoring_closure(g: Graph, seeds: Iterable[int]) -> PropagationTrace:
     """
     members = g.check_vertex_set(seeds)
     n = g.n
+    adj = g._adj
     monitored = bytearray(n)
     dominated = sorted(closed_neighborhood(g, members))
     for v in dominated:
         monitored[v] = 1
-    unmon = [sum(1 for u in g.neighbors(v) if not monitored[u]) for v in range(n)]
+    unmon = [sum(1 for u in adj[v] if not monitored[u]) for v in range(n)]
 
     propagated: list[Propagation] = []
     step = 0
@@ -55,7 +64,7 @@ def monitoring_closure(g: Graph, seeds: Iterable[int]) -> PropagationTrace:
         forced: dict[int, int] = {}
         for x in range(n):
             if monitored[x] and unmon[x] == 1:
-                y = next(u for u in g.neighbors(x) if not monitored[u])
+                y = next(u for u in adj[x] if not monitored[u])
                 forced.setdefault(y, x)
         if not forced:
             break
@@ -65,7 +74,7 @@ def monitoring_closure(g: Graph, seeds: Iterable[int]) -> PropagationTrace:
             propagated.append(Propagation(y, forced[y], step))
             monitored[y] = 1
         for y in targets:
-            for z in g.neighbors(y):
+            for z in adj[y]:
                 unmon[z] -= 1
     final = frozenset(v for v in range(n) if monitored[v])
     return PropagationTrace(tuple(dominated), tuple(propagated), final)
@@ -163,31 +172,22 @@ def greedy_power_dominating_set(g: Graph) -> VertexSet:
     return frozenset(seeds)
 
 
-@dataclass(frozen=True)
-class PowerDominationBounds:
-    lower: int
-    upper: int
-    certificate: VertexSet
-    lower_method: str  # "exact-oracle" | "lemma2-lower" | "trivial-lower" | "componentwise"
-    upper_method: str  # "exact-oracle" | "hint-certificate" | "greedy" | "componentwise"
-    subsets_examined: int | None = None
-
-
 def power_domination_bounds(
     g: Graph,
     exact_limit: int = 24,
     hint: Iterable[int] | None = None,
-) -> PowerDominationBounds:
+) -> Bounds:
     """Best-known bounds on the power domination number, with certificate.
 
-    Connected graphs up to exact_limit vertices are solved exactly by the
-    brute-force oracle; larger ones get the twin-class lower bound and a
+    Connected graphs up to exact_limit vertices are solved exactly by
+    trying every subset by size from 0 up, then in lexicographic order
+    (tagged exact-oracle); larger ones get the twin-class lower bound and a
     verified upper certificate (the hint when it power-dominates, the
     greedy construction otherwise). Disconnected graphs are handled per
     component and summed.
     """
     if g.n == 0:
-        return PowerDominationBounds(0, 0, frozenset(), "exact-oracle", "exact-oracle")
+        return Bounds(0, 0, frozenset(), "exact-oracle", "exact-oracle")
 
     comps = components(g)
     if len(comps) > 1:
@@ -199,22 +199,12 @@ def power_domination_bounds(
             lower += res.lower
             upper += res.upper
             certificate.update(old_ids[v] for v in res.certificate)
-        return PowerDominationBounds(
-            lower, upper, frozenset(certificate), "componentwise", "componentwise"
-        )
+        return Bounds(lower, upper, frozenset(certificate), "componentwise", "componentwise")
 
     if g.n <= exact_limit:
-        from . import oracle
-
-        res = oracle.brute_force(g, "gamma_p", limit=exact_limit)
-        return PowerDominationBounds(
-            res.optimum,
-            res.optimum,
-            res.certificate,
-            "exact-oracle",
-            "exact-oracle",
-            res.subsets_examined,
-        )
+        best, examined = smallest_subset(g.n, 0, lambda s: is_power_dominating_set(g, s))
+        k = len(best)
+        return Bounds(k, k, frozenset(best), "exact-oracle", "exact-oracle", examined)
 
     tlb = twin_lower_bound(g)
     lower = max(1, tlb.bound)
@@ -222,11 +212,9 @@ def power_domination_bounds(
     if hint is not None:
         hint_set = g.check_vertex_set(hint)
         if is_power_dominating_set(g, hint_set):
-            return PowerDominationBounds(
-                lower, len(hint_set), hint_set, lower_method, "hint-certificate"
-            )
+            return Bounds(lower, len(hint_set), hint_set, lower_method, "hint-certificate")
     cert = greedy_power_dominating_set(g)
-    return PowerDominationBounds(lower, len(cert), cert, lower_method, "greedy")
+    return Bounds(lower, len(cert), cert, lower_method, "greedy")
 
 
 def trace_to_text(g: Graph, trace: PropagationTrace) -> str:

@@ -12,7 +12,7 @@ import json
 from datetime import datetime, timezone
 from typing import Iterable
 
-from .core import Graph, GraphError, diameter, is_connected
+from .core import Bounds, Graph, GraphError, diameter, is_connected
 from .powerdom import is_power_dominating_set, power_domination_bounds
 from .resolving import (
     is_resolving_power_dominating,
@@ -58,11 +58,19 @@ def build_report(
     if unknown:
         raise ValueError(f"unknown checks {unknown}, expected a subset of {list(KNOWN_CHECKS)}")
 
-    def names(ids: Iterable[int]) -> list[str]:
-        return [g.labels[v] for v in sorted(ids)]
-
-    def upper_method(method: str) -> str:
-        return hint_method if method == "hint-certificate" else method
+    def section(b: Bounds, field: str) -> dict:
+        tag = hint_method if b.upper_method == "hint-certificate" else b.upper_method
+        out = {
+            "lower": b.lower,
+            "upper": b.upper,
+            field: [g.labels[v] for v in sorted(b.certificate)],
+            "lower_method": b.lower_method,
+            "upper_method": tag,
+        }
+        # The dim section, which names its certificate "basis", has no search count.
+        if field == "certificate":
+            out["subsets_examined"] = b.subsets_examined
+        return out
 
     when = timestamp or datetime.now(timezone.utc).isoformat(timespec="seconds")
     diam = diameter(g)
@@ -79,46 +87,26 @@ def build_report(
     }
     if "twins" in wanted:
         part = twin_partition(g)
-        section = twin_report(g, part)
-        section["open_count"] = len(part.open_classes)
-        section["closed_count"] = len(part.closed_classes)
-        report["twin_census"] = section
+        census = twin_report(g, part)
+        census["open_count"] = len(part.open_classes)
+        census["closed_count"] = len(part.closed_classes)
+        report["twin_census"] = census
     if "gamma_p" in wanted or "eta_p" in wanted:
         power = power_domination_bounds(g, exact_limit=exact_limit, hint=hint)
     if "gamma_p" in wanted:
-        report["gamma_p"] = {
-            "lower": power.lower,
-            "upper": power.upper,
-            "certificate": names(power.certificate),
-            "lower_method": power.lower_method,
-            "upper_method": upper_method(power.upper_method),
-            "subsets_examined": power.subsets_examined,
-        }
+        report["gamma_p"] = section(power, "certificate")
     if "dim" in wanted:
-        rb = metric_dimension_bounds(g, exact_limit=exact_limit, hint=hint)
-        report["dim"] = {
-            "lower": rb.lower,
-            "upper": rb.upper,
-            "basis": names(rb.basis),
-            "lower_method": rb.lower_method,
-            "upper_method": upper_method(rb.upper_method),
-        }
+        report["dim"] = section(
+            metric_dimension_bounds(g, exact_limit=exact_limit, hint=hint), "basis"
+        )
     if "eta_p" in wanted:
-        eb = resolving_power_domination_bounds(
+        eta = resolving_power_domination_bounds(
             g,
             exact_limit=min(exact_limit, ETA_P_EXACT_CAP),
             hint=hint,
             power_bounds=power,
         )
-        report["eta_p"] = {
-            "lower": eb.lower,
-            "upper": eb.upper,
-            "certificate": names(eb.certificate),
-            "lower_method": eb.lower_method,
-            "upper_method": upper_method(eb.upper_method),
-            "subsets_examined": eb.subsets_examined,
-        }
-    report["traces"] = None
+        report["eta_p"] = section(eta, "certificate")
     return report
 
 
@@ -134,13 +122,6 @@ def verify_report(g: Graph, report: dict) -> list[str]:
     """
     problems: list[str] = []
 
-    def ids_of(labels: list[str], where: str) -> list[int] | None:
-        try:
-            return [g.index(lbl) for lbl in labels]
-        except GraphError as exc:
-            problems.append(f"{where}: {exc}")
-            return None
-
     summary = report.get("graph_summary", {})
     if summary.get("n") != g.n:
         problems.append(f"graph_summary.n is {summary.get('n')}, expected {g.n}")
@@ -153,45 +134,28 @@ def verify_report(g: Graph, report: dict) -> list[str]:
             if report["twin_census"].get(kind) != expected[kind]:
                 problems.append(f"twin_census.{kind} does not match a fresh computation")
 
-    if "gamma_p" in report:
-        section = report["gamma_p"]
+    sections = (
+        ("gamma_p", "certificate", is_power_dominating_set, "monitor the graph"),
+        ("dim", "basis", lambda g, ids: is_resolving_set(g, ids)[0], "resolve the graph"),
+        ("eta_p", "certificate", is_resolving_power_dominating, "resolve and monitor"),
+    )
+    for key, field, holds, duty in sections:
+        if key not in report:
+            continue
+        section = report[key]
         if section["lower"] > section["upper"]:
-            problems.append(f"gamma_p: lower {section['lower']} exceeds upper {section['upper']}")
-        ids = ids_of(section["certificate"], "gamma_p")
-        if ids is not None:
-            if len(set(ids)) != section["upper"]:
-                problems.append(
-                    f"gamma_p: certificate size {len(set(ids))} != upper {section['upper']}"
-                )
-            if not is_power_dominating_set(g, ids):
-                problems.append("gamma_p: certificate does not monitor the graph")
-
-    if "dim" in report:
-        section = report["dim"]
-        if section["lower"] > section["upper"]:
-            problems.append(f"dim: lower {section['lower']} exceeds upper {section['upper']}")
-        ids = ids_of(section["basis"], "dim")
-        if ids is not None:
-            if len(set(ids)) != section["upper"]:
-                problems.append(f"dim: basis size {len(set(ids))} != upper {section['upper']}")
-            if not is_connected(g):
-                problems.append("dim reported for a disconnected graph")
-            elif not is_resolving_set(g, ids)[0]:
-                problems.append("dim: basis does not resolve the graph")
-
-    if "eta_p" in report:
-        section = report["eta_p"]
-        if section["lower"] > section["upper"]:
-            problems.append(f"eta_p: lower {section['lower']} exceeds upper {section['upper']}")
-        ids = ids_of(section["certificate"], "eta_p")
-        if ids is not None:
-            if len(set(ids)) != section["upper"]:
-                problems.append(
-                    f"eta_p: certificate size {len(set(ids))} != upper {section['upper']}"
-                )
-            if not is_connected(g):
-                problems.append("eta_p reported for a disconnected graph")
-            elif not is_resolving_power_dominating(g, ids):
-                problems.append("eta_p: certificate does not resolve and monitor")
+            problems.append(f"{key}: lower {section['lower']} exceeds upper {section['upper']}")
+        try:
+            ids = [g.index(lbl) for lbl in section[field]]
+        except GraphError as exc:
+            problems.append(f"{key}: {exc}")
+            continue
+        if len(set(ids)) != section["upper"]:
+            problems.append(f"{key}: {field} size {len(set(ids))} != upper {section['upper']}")
+        # Only gamma_p is defined on a disconnected graph.
+        if key != "gamma_p" and not is_connected(g):
+            problems.append(f"{key} reported for a disconnected graph")
+        elif not holds(g, ids):
+            problems.append(f"{key}: {field} does not {duty}")
 
     return problems

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
-from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
 from .core import (
+    Bounds,
     Graph,
     GraphError,
     LimitExceeded,
@@ -23,8 +22,9 @@ from .core import (
     bfs_distances,
     components,
     is_connected,
+    smallest_subset,
 )
-from .powerdom import PowerDominationBounds, is_power_dominating_set, power_domination_bounds
+from .powerdom import is_power_dominating_set, power_domination_bounds
 from .twins import TwinPartition, twin_partition
 
 
@@ -41,18 +41,6 @@ def _codes(rows: Sequence[Sequence[int]], n: int) -> list[tuple[int, ...]]:
 def _resolves(rows, marks: Iterable[int], n: int) -> bool:
     """Whether marks resolve all n vertices; rows[l] is the BFS row of landmark l."""
     return len(set(_codes([rows[l] for l in marks], n))) == n
-
-
-def _smallest_subset(n: int, start: int, accept: Callable[[tuple], bool]) -> tuple[tuple, int]:
-    """First subset of range(n) that accept takes, by size from start up and
-    then in lexicographic order, with the number of subsets examined."""
-    examined = 0
-    for k in range(start, n + 1):
-        for subset in combinations(range(n), k):
-            examined += 1
-            if accept(subset):
-                return subset, examined
-    raise AssertionError("the full vertex set always qualifies")
 
 
 def _prune(kept: set[int], part: TwinPartition, keeps: Callable[[set[int]], bool]) -> None:
@@ -131,7 +119,7 @@ def metric_dimension(g: Graph, limit: int = 24) -> tuple[int, tuple[int, ...]]:
         return 0, ()
     rows = [bfs_distances(g, v) for v in range(n)]
     start = max(1, twin_resolving_lower_bound(g))
-    basis, _ = _smallest_subset(n, start, lambda s: _resolves(rows, s, n))
+    basis, _ = smallest_subset(n, start, lambda s: _resolves(rows, s, n))
     return len(basis), basis
 
 
@@ -186,36 +174,25 @@ def greedy_resolving_set(g: Graph) -> VertexSet:
     return frozenset(chosen)
 
 
-@dataclass(frozen=True)
-class ResolvingBounds:
-    lower: int
-    upper: int
-    basis: tuple[int, ...]
-    lower_method: str
-    upper_method: str
-
-
 def metric_dimension_bounds(
     g: Graph, exact_limit: int = 24, hint: Iterable[int] | None = None
-) -> ResolvingBounds:
+) -> Bounds:
     """Exact value when the graph is small enough; otherwise the twin lower
     bound and a verified upper certificate (the hint when it resolves, the
-    greedy construction otherwise)."""
+    greedy construction otherwise). The certificate is the basis."""
     _require_connected(g, "metric dimension")
     if g.n <= exact_limit:
         value, basis = metric_dimension(g, limit=exact_limit)
-        return ResolvingBounds(value, value, basis, "exact-search", "exact-search")
+        return Bounds(value, value, frozenset(basis), "exact-search", "exact-search")
     twin_lb = twin_resolving_lower_bound(g)
     lower = max(1, twin_lb)
     method = "twin-lower" if twin_lb >= 1 else "trivial-lower"
     if hint is not None:
         hint_set = g.check_vertex_set(hint)
         if is_resolving_set(g, hint_set)[0]:
-            return ResolvingBounds(
-                lower, len(hint_set), tuple(sorted(hint_set)), method, "hint-certificate"
-            )
-    basis = tuple(sorted(greedy_resolving_set(g)))
-    return ResolvingBounds(lower, len(basis), basis, method, "greedy")
+            return Bounds(lower, len(hint_set), hint_set, method, "hint-certificate")
+    basis = greedy_resolving_set(g)
+    return Bounds(lower, len(basis), basis, method, "greedy")
 
 
 def is_resolving_power_dominating(g: Graph, seeds: Iterable[int]) -> bool:
@@ -225,22 +202,12 @@ def is_resolving_power_dominating(g: Graph, seeds: Iterable[int]) -> bool:
     return is_power_dominating_set(g, members) and is_resolving_set(g, members)[0]
 
 
-@dataclass(frozen=True)
-class EtaPBounds:
-    lower: int
-    upper: int
-    certificate: VertexSet
-    lower_method: str
-    upper_method: str
-    subsets_examined: int | None = None
-
-
 def resolving_power_domination_bounds(
     g: Graph,
     exact_limit: int = 16,
     hint: Iterable[int] | None = None,
-    power_bounds: PowerDominationBounds | None = None,
-) -> EtaPBounds:
+    power_bounds: Bounds | None = None,
+) -> Bounds:
     """Best-known bounds on the resolving power domination number.
 
     The lower bound is the larger of the twin landmark bound and the
@@ -257,24 +224,24 @@ def resolving_power_domination_bounds(
     _require_connected(g, "resolving power domination")
     n = g.n
     if n == 0:
-        return EtaPBounds(0, 0, frozenset(), "exact-search", "exact-search")
+        return Bounds(0, 0, frozenset(), "exact-search", "exact-search")
     gp = power_bounds if power_bounds is not None else power_domination_bounds(g, hint=hint)
     lower = max(1, twin_resolving_lower_bound(g), gp.lower)
 
     if n <= exact_limit:
         rows = [bfs_distances(g, v) for v in range(n)]
-        best, examined = _smallest_subset(
+        best, examined = smallest_subset(
             n, lower, lambda s: _resolves(rows, s, n) and is_power_dominating_set(g, s)
         )
         k = len(best)
-        return EtaPBounds(k, k, frozenset(best), "exact-search", "exact-search", examined)
+        return Bounds(k, k, frozenset(best), "exact-search", "exact-search", examined)
 
     if hint is not None:
         hint_set = g.check_vertex_set(hint)
         if is_resolving_power_dominating(g, hint_set):
-            return EtaPBounds(lower, len(hint_set), hint_set, "sandwich-lower", "hint-certificate")
+            return Bounds(lower, len(hint_set), hint_set, "sandwich-lower", "hint-certificate")
     part = twin_partition(g)
     base = set(greedy_resolving_set(g)) | set(gp.certificate)
     rows = {v: bfs_distances(g, v) for v in base}
     _prune(base, part, lambda rest: is_power_dominating_set(g, rest) and _resolves(rows, rest, n))
-    return EtaPBounds(lower, len(base), frozenset(base), "sandwich-lower", "greedy-union")
+    return Bounds(lower, len(base), frozenset(base), "sandwich-lower", "greedy-union")

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import graphmon
 from graphmon import (
     fractal_cubic_network,
     from_edgelist_text,
@@ -14,14 +17,19 @@ from graphmon import (
 )
 
 C4_EDGELIST = "4 4\n00\n01\n10\n11\n00 01\n00 10\n01 11\n10 11\n"
+# The command runs the same graphmon these tests import, even when only
+# pytest's own pythonpath setting put it on the path.
+SRC = str(Path(graphmon.__file__).resolve().parent.parent)
 
 
 def run_cli(*argv: str):
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "graphmon", *argv],
         capture_output=True,
         text=True,
         timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
     )
 
 

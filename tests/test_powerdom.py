@@ -4,14 +4,17 @@ import random
 
 import pytest
 
+import graphmon.oracle
 from graphmon import (
     GraphError,
     Propagation,
+    brute_force,
     build_graph,
     canonical_partition,
     canonical_power_dominating_set,
     fractal_cubic_network,
     greedy_power_dominating_set,
+    is_connected,
     is_power_dominating_set,
     monitoring_closure,
     power_domination_bounds,
@@ -199,3 +202,39 @@ def test_edgeless_graph_needs_every_vertex():
     g = build_graph(["a", "b", "c"], [])
     assert greedy_power_dominating_set(g) == frozenset(range(3))
     assert power_domination_bounds(g).upper == 3
+
+
+def test_exact_bounds_do_not_use_the_oracle(monkeypatch, c4, fcn1):
+    # The oracle is the independent cross-check of the exact path, so the
+    # exact path must solve these without it.
+    def refuse(*args, **kwargs):
+        raise AssertionError("power_domination_bounds called the oracle")
+
+    monkeypatch.setattr(graphmon.oracle, "brute_force", refuse)
+    split = build_graph(["a", "b", "lone"], [("a", "b")])
+    for g, optimum in ((c4, 1), (fcn1, 4), (split, 2)):
+        b = power_domination_bounds(g)
+        assert (b.lower, b.upper) == (optimum, optimum)
+        assert is_power_dominating_set(g, b.certificate)
+
+
+def test_exact_bounds_agree_with_the_oracle():
+    rng = random.Random(47)
+    seen_split = seen_connected = 0
+    for i in range(60):
+        make = random_connected_graph if i % 2 else random_graph
+        g = make(rng, rng.randint(1, 10), rng.uniform(0.1, 0.5))
+        b = power_domination_bounds(g)
+        ref = brute_force(g, "gamma_p")
+        assert b.lower == b.upper == ref.optimum
+        if is_connected(g):
+            seen_connected += 1
+            assert b.upper_method == "exact-oracle"
+            assert (b.certificate, b.subsets_examined) == (ref.certificate, ref.subsets_examined)
+        else:
+            # Solved per component: the certificate is the union of each
+            # component's first one, and no single search count applies.
+            seen_split += 1
+            assert b.upper_method == "componentwise"
+            assert is_power_dominating_set(g, b.certificate)
+    assert seen_split and seen_connected

@@ -41,7 +41,7 @@ def test_full_report_on_c4(c4):
     assert report["dim"]["lower"] == report["dim"]["upper"] == 2
     assert report["eta_p"]["lower"] == report["eta_p"]["upper"] == 2
     assert len(report["eta_p"]["certificate"]) == 2
-    assert report["traces"] is None
+    assert "traces" not in report
 
 
 def test_report_is_deterministic(fcn1):
@@ -159,6 +159,34 @@ def test_verify_flags_tampering(c4):
     bad = json.loads(report_to_json(report))
     bad["eta_p"]["certificate"] = ["00", "11"]
     assert any("resolve and monitor" in p for p in verify_report(c4, bad))
+
+
+def test_verify_messages_name_section_and_field(c4):
+    report = build_report(c4, timestamp=STAMP)
+    report["gamma_p"].update(lower=3, certificate=[])
+    report["dim"]["basis"] = ["00"]
+    report["eta_p"]["certificate"] = ["00", "11"]
+    assert verify_report(c4, report) == [
+        "gamma_p: lower 3 exceeds upper 1",
+        "gamma_p: certificate size 0 != upper 1",
+        "gamma_p: certificate does not monitor the graph",
+        "dim: basis size 1 != upper 2",
+        "dim: basis does not resolve the graph",
+        "eta_p: certificate does not resolve and monitor",
+    ]
+    report["dim"]["basis"] = ["zz"]
+    assert "dim: unknown vertex label 'zz'" in verify_report(c4, report)
+
+
+def test_verify_flags_dim_and_eta_p_on_a_disconnected_graph():
+    g = build_graph(["a", "b", "c", "d"], [("a", "b"), ("c", "d")])
+    report = build_report(g, checks=["gamma_p"], timestamp=STAMP)
+    report["dim"] = {"lower": 2, "upper": 2, "basis": ["a", "c"]}
+    report["eta_p"] = {"lower": 2, "upper": 2, "certificate": ["a", "c"]}
+    assert verify_report(g, report) == [
+        "dim reported for a disconnected graph",
+        "eta_p reported for a disconnected graph",
+    ]
 
 
 def test_disconnected_graph_reports():

@@ -270,14 +270,14 @@ def test_metric_dimension_bounds_exact_and_greedy(c4, fcn2):
     assert wide.lower == 16
     assert wide.lower_method == "twin-lower"
     assert wide.upper_method == "greedy"
-    assert is_resolving_set(fcn2, wide.basis)[0]
+    assert is_resolving_set(fcn2, wide.certificate)[0]
 
 
 def test_metric_dimension_bounds_hint(fcn2):
     hint = canonical_power_dominating_set(2)
     b = metric_dimension_bounds(fcn2, hint=hint)
     assert (b.lower, b.upper) == (16, 16)
-    assert b.basis == tuple(sorted(hint))
+    assert b.certificate == frozenset(hint)
     assert (b.lower_method, b.upper_method) == ("twin-lower", "hint-certificate")
     missing_twin = sorted(hint)[1:]
     fallback = metric_dimension_bounds(fcn2, hint=missing_twin)
