@@ -42,13 +42,11 @@ from .powerdom import (
     is_power_dominating_set,
     monitoring_closure,
     power_domination_bounds,
-    trace_to_json,
     trace_to_text,
     twin_lower_bound,
 )
 from .report import build_report, degree_histogram, report_to_json, verify_report
 from .resolving import (
-    distance_codes,
     greedy_resolving_set,
     is_resolving_power_dominating,
     is_resolving_set,
@@ -95,14 +93,12 @@ __all__ = [
     "is_power_dominating_set",
     "monitoring_closure",
     "power_domination_bounds",
-    "trace_to_json",
     "trace_to_text",
     "twin_lower_bound",
     "build_report",
     "degree_histogram",
     "report_to_json",
     "verify_report",
-    "distance_codes",
     "greedy_resolving_set",
     "is_resolving_power_dominating",
     "is_resolving_set",

@@ -15,12 +15,12 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from .core import Graph, GraphError, LimitExceeded
+from .core import EXACT_LIMIT, Graph, GraphError, LimitExceeded
 from .fcn import canonical_power_dominating_set, fractal_cubic_network
 from .formats import load_graph, to_dot, to_edgelist_text, to_json_text
-from .oracle import brute_force
+from .oracle import PROBLEMS, brute_force
 from .powerdom import monitoring_closure, trace_to_text
-from .report import build_report, report_to_json
+from .report import KNOWN_CHECKS, build_report, report_to_json
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -33,12 +33,10 @@ _FORMATTERS = {
     "dot": to_dot,
 }
 
-_CHECK_NAMES = {
-    "twins": "twins",
-    "gamma-p": "gamma_p",
-    "dim": "dim",
-    "eta-p": "eta_p",
-}
+
+def _dashed(names: tuple[str, ...]) -> dict[str, str]:
+    """Command-line spelling of each library name: gamma_p is written gamma-p."""
+    return {name.replace("_", "-"): name for name in names}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -72,17 +70,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_ana.add_argument(
         "--checks",
         default="all",
-        help="comma-separated subset of twins,gamma-p,dim,eta-p or all",
+        help=f"comma-separated subset of {','.join(_dashed(KNOWN_CHECKS))} or all",
     )
-    p_ana.add_argument("--exact-limit", type=int, default=24, help="vertex cap for exact search")
+    p_ana.add_argument(
+        "--exact-limit", type=int, default=EXACT_LIMIT, help="vertex cap for exact search"
+    )
     p_ana.add_argument("--out", help="report path; omit to print the report")
     p_ana.set_defaults(func=cmd_analyze)
 
     p_ora = sub.add_parser("oracle", help="run a brute-force baseline search")
     p_ora.add_argument("--graph", required=True, help="graph file (edge list or JSON)")
-    p_ora.add_argument(
-        "--problem", required=True, choices=("gamma", "gamma-p", "dim", "eta-p")
-    )
+    p_ora.add_argument("--problem", required=True, choices=tuple(_dashed(PROBLEMS)))
     p_ora.add_argument("--limit", type=int, help="vertex cap override for the search")
     p_ora.set_defaults(func=cmd_oracle)
 
@@ -121,13 +119,12 @@ def _parse_checks(parser_error, raw: str) -> list[str]:
     if not parts:
         parser_error("--checks must name at least one check")
     if "all" in parts:
-        return list(_CHECK_NAMES.values())
-    unknown = sorted(set(parts) - set(_CHECK_NAMES))
+        return list(KNOWN_CHECKS)
+    names = _dashed(KNOWN_CHECKS)
+    unknown = sorted(set(parts) - set(names))
     if unknown:
-        parser_error(
-            f"unknown checks {unknown}; expected a subset of {sorted(_CHECK_NAMES)} or all"
-        )
-    return [_CHECK_NAMES[p] for p in parts]
+        parser_error(f"unknown checks {unknown}; expected a subset of {sorted(names)} or all")
+    return [names[p] for p in parts]
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:

@@ -12,6 +12,9 @@ VertexSet = frozenset[int]
 
 UNREACHABLE = -1
 
+# Vertex cap for every exhaustive search unless a caller passes its own.
+EXACT_LIMIT = 24
+
 
 class GraphError(ValueError):
     """Invalid graph construction input or an operation's precondition failed."""

@@ -15,6 +15,7 @@ from itertools import combinations
 from typing import Iterable
 
 from .core import (
+    EXACT_LIMIT,
     Graph,
     GraphError,
     LimitExceeded,
@@ -24,10 +25,10 @@ from .core import (
     is_connected,
 )
 from .powerdom import is_power_dominating_set
-from .resolving import is_resolving_power_dominating, is_resolving_set
+from .resolving import ETA_P_EXACT_LIMIT, is_resolving_power_dominating, is_resolving_set
 
 PROBLEMS = ("gamma", "gamma_p", "dim", "eta_p")
-DEFAULT_LIMITS = {"gamma": 24, "gamma_p": 24, "dim": 24, "eta_p": 16}
+DEFAULT_LIMITS = {**dict.fromkeys(PROBLEMS, EXACT_LIMIT), "eta_p": ETA_P_EXACT_LIMIT}
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .core import (
+    EXACT_LIMIT,
     Bounds,
     Graph,
     VertexSet,
@@ -179,7 +180,7 @@ def greedy_power_dominating_set(g: Graph) -> VertexSet:
 
 def power_domination_bounds(
     g: Graph,
-    exact_limit: int = 24,
+    exact_limit: int = EXACT_LIMIT,
     hint: Iterable[int] | None = None,
 ) -> Bounds:
     """Best-known bounds on the power domination number, with certificate.
@@ -231,16 +232,3 @@ def trace_to_text(g: Graph, trace: PropagationTrace) -> str:
     )
     return "\n".join(lines) + ("\n" if lines else "")
 
-
-def trace_to_json(g: Graph, trace: PropagationTrace) -> dict:
-    events: list[dict] = [{"type": "dominated", "vertex": g.labels[v]} for v in trace.dominated]
-    events.extend(
-        {
-            "type": "propagated",
-            "vertex": g.labels[p.vertex],
-            "from": g.labels[p.source],
-            "step": p.step,
-        }
-        for p in trace.propagated
-    )
-    return {"events": events, "final": [g.labels[v] for v in sorted(trace.final)]}

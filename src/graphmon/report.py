@@ -12,20 +12,20 @@ import json
 from datetime import datetime, timezone
 from typing import Iterable
 
-from .core import Bounds, Graph, GraphError, diameter, is_connected
+from .core import EXACT_LIMIT, Bounds, Graph, GraphError, diameter, is_connected
 from .powerdom import is_power_dominating_set, power_domination_bounds
 from .resolving import (
+    ETA_P_EXACT_LIMIT,
     is_resolving_power_dominating,
     is_resolving_set,
     metric_dimension_bounds,
     resolving_power_domination_bounds,
 )
-from .twins import twin_partition, twin_report
+from .twins import twin_report
 from .version import VERSION
 
 REPORT_VERSION = 1
 KNOWN_CHECKS = ("twins", "gamma_p", "dim", "eta_p")
-ETA_P_EXACT_CAP = 16
 
 
 def degree_histogram(g: Graph) -> dict[int, int]:
@@ -39,7 +39,7 @@ def degree_histogram(g: Graph) -> dict[int, int]:
 def build_report(
     g: Graph,
     checks: Iterable[str] = KNOWN_CHECKS,
-    exact_limit: int = 24,
+    exact_limit: int = EXACT_LIMIT,
     hint: Iterable[int] | None = None,
     timestamp: str | None = None,
     hint_method: str = "hint-certificate",
@@ -47,11 +47,11 @@ def build_report(
     """Assemble the analysis report for the requested checks.
 
     exact_limit caps exhaustive searches by vertex count; the combined
-    resolving-and-monitoring search uses at most 16 regardless, since
-    its space grows the fastest. The hint is tried as the upper
-    certificate of every bounded section, and a section it certifies is
-    tagged hint_method. Passing a fixed timestamp makes the output
-    byte-reproducible.
+    resolving-and-monitoring search uses at most ETA_P_EXACT_LIMIT
+    regardless, since its space grows the fastest. The hint is tried as
+    the upper certificate of every bounded section, and a section it
+    certifies is tagged hint_method. Passing a fixed timestamp makes the
+    output byte-reproducible.
     """
     wanted = list(checks)
     unknown = sorted(set(wanted) - set(KNOWN_CHECKS))
@@ -86,10 +86,9 @@ def build_report(
         },
     }
     if "twins" in wanted:
-        part = twin_partition(g)
-        census = twin_report(g, part)
-        census["open_count"] = len(part.open_classes)
-        census["closed_count"] = len(part.closed_classes)
+        census = twin_report(g)
+        census["open_count"] = len(census["open"])
+        census["closed_count"] = len(census["closed"])
         report["twin_census"] = census
     if "gamma_p" in wanted or "eta_p" in wanted:
         power = power_domination_bounds(g, exact_limit=exact_limit, hint=hint)
@@ -102,7 +101,7 @@ def build_report(
     if "eta_p" in wanted:
         eta = resolving_power_domination_bounds(
             g,
-            exact_limit=min(exact_limit, ETA_P_EXACT_CAP),
+            exact_limit=min(exact_limit, ETA_P_EXACT_LIMIT),
             hint=hint,
             power_bounds=power,
         )
@@ -125,24 +124,31 @@ def _well_formed(section: object, field: str) -> bool:
     )
 
 
-def verify_report(g: Graph, report: dict) -> list[str]:
+def verify_report(g: Graph, report: object) -> list[str]:
     """Re-check every certificate in a report against the graph.
 
     Returns a list of human-readable problems, empty when the report is
-    internally consistent and all certificates verify.
+    internally consistent and all certificates verify. Any JSON value is
+    accepted: a report or section of the wrong shape is a problem too.
     """
+    if not isinstance(report, dict):
+        return ["report: malformed, expected an object"]
     problems: list[str] = []
 
     summary = report.get("graph_summary", {})
-    if summary.get("n") != g.n:
-        problems.append(f"graph_summary.n is {summary.get('n')}, expected {g.n}")
-    if summary.get("m") != g.m:
-        problems.append(f"graph_summary.m is {summary.get('m')}, expected {g.m}")
+    census = report.get("twin_census", {})
+    for key, value in (("graph_summary", summary), ("twin_census", census)):
+        if not isinstance(value, dict):
+            problems.append(f"{key}: malformed section, expected an object")
+    if isinstance(summary, dict):
+        for field, actual in (("n", g.n), ("m", g.m)):
+            if (got := summary.get(field)) != actual:
+                problems.append(f"graph_summary.{field} is {got!r}, expected {actual}")
 
-    if "twin_census" in report:
+    if "twin_census" in report and isinstance(census, dict):
         expected = twin_report(g)
         for kind in ("open", "closed"):
-            if report["twin_census"].get(kind) != expected[kind]:
+            if census.get(kind) != expected[kind]:
                 problems.append(f"twin_census.{kind} does not match a fresh computation")
 
     sections = (

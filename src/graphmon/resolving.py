@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, Sequence
 
 from .core import (
+    EXACT_LIMIT,
     Bounds,
     Graph,
     GraphError,
@@ -24,6 +25,10 @@ from .core import (
 )
 from .powerdom import is_power_dominating_set, power_domination_bounds
 from .twins import TwinPartition, twin_partition
+
+# The combined resolving-and-monitoring search space grows the fastest,
+# so its exhaustive search gets a lower vertex cap.
+ETA_P_EXACT_LIMIT = 16
 
 
 def _require_connected(g: Graph, what: str) -> None:
@@ -55,15 +60,6 @@ def _prune(kept: set[int], part: TwinPartition, keeps: Callable[[set[int]], bool
             kept.discard(v)
 
 
-def distance_codes(g: Graph, landmarks: Sequence[int]) -> list[tuple[int, ...]]:
-    """Distance vector of every vertex to the landmarks, in landmark order."""
-    _require_connected(g, "distance coding")
-    marks = list(landmarks)
-    for v in marks:
-        g.check_vertex(v)
-    return _codes([bfs_distances(g, v) for v in marks], g.n)
-
-
 def is_resolving_set(g: Graph, landmarks: Iterable[int]) -> tuple[bool, tuple[int, int] | None]:
     """Whether the landmarks give every vertex a distinct code.
 
@@ -73,7 +69,8 @@ def is_resolving_set(g: Graph, landmarks: Iterable[int]) -> tuple[bool, tuple[in
     marks = sorted(g.check_vertex_set(landmarks))
     if g.n <= 1:
         return True, None
-    codes = distance_codes(g, marks)
+    _require_connected(g, "distance coding")
+    codes = _codes([bfs_distances(g, v) for v in marks], g.n)
     order = sorted(range(g.n), key=lambda v: (codes[v], v))
     for a, b in zip(order, order[1:]):
         if codes[a] == codes[b]:
@@ -88,7 +85,7 @@ def twin_resolving_lower_bound(g: Graph) -> int:
     return sum(len(c) - 1 for c in part.open_classes + part.closed_classes)
 
 
-def metric_dimension(g: Graph, limit: int = 24) -> tuple[int, tuple[int, ...]]:
+def metric_dimension(g: Graph, limit: int = EXACT_LIMIT) -> tuple[int, tuple[int, ...]]:
     """Exact metric dimension with a lexicographically first basis.
 
     Searches subset sizes upward starting from the twin lower bound,
@@ -162,7 +159,7 @@ def greedy_resolving_set(g: Graph) -> VertexSet:
 
 
 def metric_dimension_bounds(
-    g: Graph, exact_limit: int = 24, hint: Iterable[int] | None = None
+    g: Graph, exact_limit: int = EXACT_LIMIT, hint: Iterable[int] | None = None
 ) -> Bounds:
     """Exact value when the graph is small enough; otherwise the twin lower
     bound and a verified upper certificate (the hint when it resolves, the
@@ -191,7 +188,7 @@ def is_resolving_power_dominating(g: Graph, seeds: Iterable[int]) -> bool:
 
 def resolving_power_domination_bounds(
     g: Graph,
-    exact_limit: int = 16,
+    exact_limit: int = ETA_P_EXACT_LIMIT,
     hint: Iterable[int] | None = None,
     power_bounds: Bounds | None = None,
 ) -> Bounds:

@@ -40,8 +40,8 @@ def twin_partition(g: Graph) -> TwinPartition:
     return TwinPartition(open_classes, closed_classes)
 
 
-def twin_report(g: Graph, partition: TwinPartition | None = None) -> dict:
+def twin_report(g: Graph) -> dict:
     """Twin classes as label arrays, keyed "open" and "closed"."""
-    tp = partition if partition is not None else twin_partition(g)
+    tp = twin_partition(g)
     as_labels = lambda classes: [[g.labels[v] for v in sorted(c)] for c in classes]
     return {"open": as_labels(tp.open_classes), "closed": as_labels(tp.closed_classes)}

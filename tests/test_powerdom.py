@@ -18,7 +18,6 @@ from graphmon import (
     is_power_dominating_set,
     monitoring_closure,
     power_domination_bounds,
-    trace_to_json,
     trace_to_text,
     twin_lower_bound,
 )
@@ -37,19 +36,6 @@ def test_c4_single_seed_trace(c4):
 def test_c4_trace_text(c4):
     trace = monitoring_closure(c4, [0])
     assert trace_to_text(c4, trace) == "DOM 00\nDOM 01\nDOM 10\nPROP 11 FROM 01 STEP 1\n"
-
-
-def test_c4_trace_json(c4):
-    payload = trace_to_json(c4, monitoring_closure(c4, [0]))
-    assert payload == {
-        "events": [
-            {"type": "dominated", "vertex": "00"},
-            {"type": "dominated", "vertex": "01"},
-            {"type": "dominated", "vertex": "10"},
-            {"type": "propagated", "vertex": "11", "from": "01", "step": 1},
-        ],
-        "final": ["00", "01", "10", "11"],
-    }
 
 
 def test_empty_seeds_monitor_nothing(c4):

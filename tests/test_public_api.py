@@ -21,7 +21,6 @@ PACKAGE = ROOT / "src" / "graphmon"
 
 # Exported without an in-repo caller, each for a stated reason.
 UNUSED_ON_PURPOSE = {
-    "trace_to_json": "the JSON trace format that `monitor --format json` is to print",
     "__version__": "the package version, read by installers and users",
 }
 

@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+import functools
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphmon import (
     GraphError,
     build_graph,
     build_report,
+    fractal_cubic_network,
     report_to_json,
     verify_report,
 )
@@ -107,6 +111,20 @@ def test_power_domination_bounds_computed_once(graph, request, monkeypatch):
     assert verify_report(g, report) == []
 
 
+def test_eta_p_exact_search_is_clamped(c4, monkeypatch):
+    limits = []
+    original = graphmon.report.resolving_power_domination_bounds
+
+    def recording(g, **kwargs):
+        limits.append(kwargs["exact_limit"])
+        return original(g, **kwargs)
+
+    monkeypatch.setattr(graphmon.report, "resolving_power_domination_bounds", recording)
+    for exact_limit in (30, 3):
+        build_report(c4, checks=["eta_p"], exact_limit=exact_limit, timestamp=STAMP)
+    assert limits == [graphmon.resolving.ETA_P_EXACT_LIMIT, 3]
+
+
 def test_eta_p_alone_uses_the_reports_power_bounds():
     # n=8 with exact_limit=4: eta_p is not searched exhaustively, and its
     # greedy-union certificate starts from the gamma_p certificate. That
@@ -199,6 +217,54 @@ def test_verify_reports_malformed_sections(fcn1):
         bad = json.loads(report_to_json(report))
         tamper(bad)
         assert verify_report(fcn1, bad) == [problem], key
+
+
+def test_verify_reports_malformed_summary_census_and_report(fcn1):
+    report = build_report(fcn1, checks=["twins"], timestamp=STAMP)
+    summary = "graph_summary: malformed section, expected an object"
+    census = "twin_census: malformed section, expected an object"
+    for bad_value in (None, [], "16"):
+        for key, problem in (("graph_summary", summary), ("twin_census", census)):
+            bad = json.loads(report_to_json(report))
+            bad[key] = bad_value
+            assert verify_report(fcn1, bad) == [problem], (key, bad_value)
+    for bad in (None, [], [report]):
+        assert verify_report(fcn1, bad) == ["report: malformed, expected an object"]
+    bad = json.loads(report_to_json(report))
+    bad["graph_summary"].update(n="16", m=20.5)
+    assert verify_report(fcn1, bad) == [
+        "graph_summary.n is '16', expected 16",
+        "graph_summary.m is 20.5, expected 20",
+    ]
+
+
+@functools.cache
+def _fcn1_report_text() -> str:
+    return report_to_json(build_report(fractal_cubic_network(1), timestamp=STAMP))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=8,
+)
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(value=JSON_VALUES)
+def test_verify_never_raises_on_a_mutated_report(fcn1, value):
+    # Each top-level field, and each field of a top-level object, takes the
+    # value in turn; a randomly drawn field would rarely be a section itself.
+    text = _fcn1_report_text()
+    for key, part in json.loads(text).items():
+        for sub in [None, *part] if isinstance(part, dict) else [None]:
+            bad = json.loads(text)
+            if sub is None:
+                bad[key] = value
+            else:
+                bad[key][sub] = value
+            problems = verify_report(fcn1, bad)
+            assert isinstance(problems, list) and all(isinstance(p, str) for p in problems)
 
 
 def test_verify_flags_dim_and_eta_p_on_a_disconnected_graph():

@@ -9,7 +9,6 @@ from graphmon import (
     LimitExceeded,
     build_graph,
     canonical_power_dominating_set,
-    distance_codes,
     fractal_cubic_network,
     greedy_power_dominating_set,
     greedy_resolving_set,
@@ -25,6 +24,7 @@ from graphmon import (
 )
 
 from _helpers import (
+    all_pairs_distances,
     eta_p_exact_reference,
     greedy_resolving_set_reference,
     greedy_union_reference,
@@ -41,29 +41,14 @@ def two_triangles():
     )
 
 
-def test_codes_on_c4(c4):
-    assert distance_codes(c4, [c4.index("00"), c4.index("01")]) == [
-        (0, 1),
-        (1, 0),
-        (1, 2),
-        (2, 1),
-    ]
-
-
-def test_codes_follow_landmark_order(c4):
-    forward = distance_codes(c4, [0, 1])
-    swapped = distance_codes(c4, [1, 0])
-    assert swapped == [(b, a) for a, b in forward]
-
-
 def test_codes_reject_disconnected():
-    with pytest.raises(GraphError, match="2 components"):
-        distance_codes(two_triangles(), [0])
+    with pytest.raises(GraphError, match="distance coding requires a connected graph, found 2"):
+        is_resolving_set(two_triangles(), [0])
 
 
 def test_codes_reject_bad_landmark(c4):
-    with pytest.raises(GraphError):
-        distance_codes(c4, [9])
+    with pytest.raises(GraphError, match="vertex id 9 out of range"):
+        is_resolving_set(c4, [9])
 
 
 def test_full_vertex_set_resolves(fcn1):
@@ -86,10 +71,11 @@ def test_missing_twin_pair_is_unresolved(fcn1):
     landmarks = [fcn1.index(lbl) for lbl in ("0000", "0101", "1001", "1101")]
     ok, witness = is_resolving_set(fcn1, landmarks)
     assert not ok and witness is not None
-    codes = distance_codes(fcn1, landmarks)
-    assert codes[witness[0]] == codes[witness[1]]
+    dist = all_pairs_distances(fcn1)
+    code = lambda v: [dist.get(l, v) for l in landmarks]
+    assert code(witness[0]) == code(witness[1])
     twins = (fcn1.index("0001"), fcn1.index("0010"))
-    assert codes[twins[0]] == codes[twins[1]]
+    assert code(twins[0]) == code(twins[1])
 
 
 def test_empty_landmarks():
