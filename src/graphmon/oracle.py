@@ -24,8 +24,7 @@ from .core import (
     closed_neighborhood,
     is_connected,
 )
-from .powerdom import is_power_dominating_set
-from .resolving import ETA_P_EXACT_LIMIT, is_resolving_power_dominating, is_resolving_set
+from .resolving import CERTIFICATE_CHECKS, ETA_P_EXACT_LIMIT
 
 PROBLEMS = ("gamma", "gamma_p", "dim", "eta_p")
 DEFAULT_LIMITS = {**dict.fromkeys(PROBLEMS, EXACT_LIMIT), "eta_p": ETA_P_EXACT_LIMIT}
@@ -120,11 +119,7 @@ def brute_force(g: Graph, problem: str, limit: int | None = None) -> OracleResul
 def _reverify(g: Graph, problem: str, subset: tuple[int, ...]) -> None:
     if problem == "gamma":
         ok = closed_neighborhood(g, subset) == frozenset(range(g.n))
-    elif problem == "gamma_p":
-        ok = is_power_dominating_set(g, subset)
-    elif problem == "dim":
-        ok = is_resolving_set(g, subset)[0]
     else:
-        ok = is_resolving_power_dominating(g, subset)
+        ok = CERTIFICATE_CHECKS[problem](g, subset)
     if not ok:
         raise AssertionError(f"oracle and library checkers disagree on {problem} for {subset}")

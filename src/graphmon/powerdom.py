@@ -110,8 +110,6 @@ def twin_lower_bound(g: Graph) -> TwinClassBound:
     """
     classes = twin_partition(g).open_classes
     k = len(classes)
-    if k == 0:
-        return TwinClassBound(0, (), "exact")
     territories = [closed_neighborhood(g, c) for c in classes]
 
     def greedy() -> tuple[int, int]:
@@ -157,8 +155,6 @@ def twin_lower_bound(g: Graph) -> TwinClassBound:
 def greedy_power_dominating_set(g: Graph) -> VertexSet:
     """Deterministic heuristic PDS: one seed per open twin class, then
     maximum-closure-gain additions, then a removal pass."""
-    if g.n == 0:
-        return frozenset()
     seeds = {min(c) for c in twin_partition(g).open_classes}
     reached = monitoring_closure(g, seeds).final
     while len(reached) < g.n:

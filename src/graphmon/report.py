@@ -12,12 +12,11 @@ import json
 from datetime import datetime, timezone
 from typing import Iterable
 
-from .core import EXACT_LIMIT, Bounds, Graph, GraphError, diameter, is_connected
-from .powerdom import is_power_dominating_set, power_domination_bounds
+from .core import EXACT_LIMIT, UNREACHABLE, Bounds, Graph, GraphError, bfs_distances, diameter
+from .powerdom import power_domination_bounds
 from .resolving import (
+    CERTIFICATE_CHECKS,
     ETA_P_EXACT_LIMIT,
-    is_resolving_power_dominating,
-    is_resolving_set,
     metric_dimension_bounds,
     resolving_power_domination_bounds,
 )
@@ -25,7 +24,14 @@ from .twins import twin_report
 from .version import VERSION
 
 REPORT_VERSION = 1
-KNOWN_CHECKS = ("twins", "gamma_p", "dim", "eta_p")
+# Each bounds section: the field holding its certificate, and what the
+# certificate must do to the graph.
+SECTIONS = {
+    "gamma_p": ("certificate", "monitor the graph"),
+    "dim": ("basis", "resolve the graph"),
+    "eta_p": ("certificate", "resolve and monitor"),
+}
+KNOWN_CHECKS = ("twins", *SECTIONS)
 
 
 def degree_histogram(g: Graph) -> dict[int, int]:
@@ -58,7 +64,8 @@ def build_report(
     if unknown:
         raise ValueError(f"unknown checks {unknown}, expected a subset of {list(KNOWN_CHECKS)}")
 
-    def section(b: Bounds, field: str) -> dict:
+    def section(b: Bounds, key: str) -> dict:
+        field = SECTIONS[key][0]
         tag = hint_method if b.upper_method == "hint-certificate" else b.upper_method
         out = {
             "lower": b.lower,
@@ -93,19 +100,15 @@ def build_report(
     if "gamma_p" in wanted or "eta_p" in wanted:
         power = power_domination_bounds(g, exact_limit=exact_limit, hint=hint)
     if "gamma_p" in wanted:
-        report["gamma_p"] = section(power, "certificate")
+        report["gamma_p"] = section(power, "gamma_p")
     if "dim" in wanted:
-        report["dim"] = section(
-            metric_dimension_bounds(g, exact_limit=exact_limit, hint=hint), "basis"
-        )
+        dim = metric_dimension_bounds(g, exact_limit=exact_limit, hint=hint)
+        report["dim"] = section(dim, "dim")
     if "eta_p" in wanted:
         eta = resolving_power_domination_bounds(
-            g,
-            exact_limit=min(exact_limit, ETA_P_EXACT_LIMIT),
-            hint=hint,
-            power_bounds=power,
+            g, power, exact_limit=min(exact_limit, ETA_P_EXACT_LIMIT), hint=hint
         )
-        report["eta_p"] = section(eta, "certificate")
+        report["eta_p"] = section(eta, "eta_p")
     return report
 
 
@@ -124,8 +127,18 @@ def _well_formed(section: object, field: str) -> bool:
     )
 
 
+def _same_histogram(hist: object, g: Graph) -> bool:
+    """Whether hist is g's degree histogram, keyed by ints or by the
+    strings a JSON round trip leaves."""
+    if not isinstance(hist, dict):
+        return False
+    keyed = {str(d): c for d, c in hist.items() if type(c) is int}
+    return len(keyed) == len(hist) and keyed == {str(d): c for d, c in degree_histogram(g).items()}
+
+
 def verify_report(g: Graph, report: object) -> list[str]:
-    """Re-check every certificate in a report against the graph.
+    """Re-check a report against the graph: the summary, the twin census
+    and every certificate.
 
     Returns a list of human-readable problems, empty when the report is
     internally consistent and all certificates verify. Any JSON value is
@@ -135,28 +148,42 @@ def verify_report(g: Graph, report: object) -> list[str]:
         return ["report: malformed, expected an object"]
     problems: list[str] = []
 
+    def expect_int(where: str, got: object, expected: int) -> None:
+        if type(got) is not int or got != expected:
+            problems.append(f"{where} is {got!r}, expected {expected}")
+
+    # One BFS settles connectivity and brackets the diameter: for any
+    # vertex v, ecc(v) <= diameter <= 2 * ecc(v).
+    row = bfs_distances(g, 0) if g.n else []
+    connected = UNREACHABLE not in row
+    ecc = max(row, default=0)
+
     summary = report.get("graph_summary", {})
     census = report.get("twin_census", {})
     for key, value in (("graph_summary", summary), ("twin_census", census)):
         if not isinstance(value, dict):
             problems.append(f"{key}: malformed section, expected an object")
     if isinstance(summary, dict):
-        for field, actual in (("n", g.n), ("m", g.m)):
-            if (got := summary.get(field)) != actual:
-                problems.append(f"graph_summary.{field} is {got!r}, expected {actual}")
+        expect_int("graph_summary.n", summary.get("n"), g.n)
+        expect_int("graph_summary.m", summary.get("m"), g.m)
+        if not _same_histogram(summary.get("degree_histogram"), g):
+            problems.append("graph_summary.degree_histogram does not match a fresh computation")
+        diam = summary.get("diameter")
+        if not connected and diam != "disconnected":
+            problems.append(f"graph_summary.diameter is {diam!r}, expected 'disconnected'")
+        elif connected and not (type(diam) is int and ecc <= diam <= 2 * ecc):
+            problems.append(
+                f"graph_summary.diameter is {diam!r}, expected an int from {ecc} to {2 * ecc}"
+            )
 
     if "twin_census" in report and isinstance(census, dict):
         expected = twin_report(g)
         for kind in ("open", "closed"):
             if census.get(kind) != expected[kind]:
                 problems.append(f"twin_census.{kind} does not match a fresh computation")
+            expect_int(f"twin_census.{kind}_count", census.get(f"{kind}_count"), len(expected[kind]))
 
-    sections = (
-        ("gamma_p", "certificate", is_power_dominating_set, "monitor the graph"),
-        ("dim", "basis", lambda g, ids: is_resolving_set(g, ids)[0], "resolve the graph"),
-        ("eta_p", "certificate", is_resolving_power_dominating, "resolve and monitor"),
-    )
-    for key, field, holds, duty in sections:
+    for key, (field, duty) in SECTIONS.items():
         if key not in report:
             continue
         section = report[key]
@@ -173,9 +200,9 @@ def verify_report(g: Graph, report: object) -> list[str]:
         if len(set(ids)) != section["upper"]:
             problems.append(f"{key}: {field} size {len(set(ids))} != upper {section['upper']}")
         # Only gamma_p is defined on a disconnected graph.
-        if key != "gamma_p" and not is_connected(g):
+        if key != "gamma_p" and not connected:
             problems.append(f"{key} reported for a disconnected graph")
-        elif not holds(g, ids):
+        elif not CERTIFICATE_CHECKS[key](g, ids):
             problems.append(f"{key}: {field} does not {duty}")
 
     return problems

@@ -23,7 +23,7 @@ from .core import (
     is_connected,
     smallest_subset,
 )
-from .powerdom import is_power_dominating_set, power_domination_bounds
+from .powerdom import is_power_dominating_set
 from .twins import TwinPartition, twin_partition
 
 # The combined resolving-and-monitoring search space grows the fastest,
@@ -67,8 +67,6 @@ def is_resolving_set(g: Graph, landmarks: Iterable[int]) -> tuple[bool, tuple[in
     first colliding vertex pair in code order.
     """
     marks = sorted(g.check_vertex_set(landmarks))
-    if g.n <= 1:
-        return True, None
     _require_connected(g, "distance coding")
     codes = _codes([bfs_distances(g, v) for v in marks], g.n)
     order = sorted(range(g.n), key=lambda v: (codes[v], v))
@@ -116,8 +114,6 @@ def greedy_resolving_set(g: Graph) -> VertexSet:
     """
     _require_connected(g, "greedy resolving construction")
     n = g.n
-    if n <= 1:
-        return frozenset()
     part = twin_partition(g)
     chosen: set[int] = set()
     for cls in part.open_classes + part.closed_classes:
@@ -188,9 +184,9 @@ def is_resolving_power_dominating(g: Graph, seeds: Iterable[int]) -> bool:
 
 def resolving_power_domination_bounds(
     g: Graph,
+    power: Bounds,
     exact_limit: int = ETA_P_EXACT_LIMIT,
     hint: Iterable[int] | None = None,
-    power_bounds: Bounds | None = None,
 ) -> Bounds:
     """Best-known bounds on the resolving power domination number.
 
@@ -201,16 +197,14 @@ def resolving_power_domination_bounds(
     from the hint or from pruning the union of the greedy resolving set
     and the power domination certificate.
 
-    power_bounds, when given, must be what power_domination_bounds returns
-    for this graph and hint; it saves recomputing them. Without it they
-    are computed with that function's default exact limit.
+    power is what power_domination_bounds returns for this graph and hint:
+    its lower bound joins the sandwich, and its certificate joins the union.
     """
     _require_connected(g, "resolving power domination")
     n = g.n
     if n == 0:
         return Bounds(0, 0, frozenset(), "exact-search", "exact-search")
-    gp = power_bounds if power_bounds is not None else power_domination_bounds(g, hint=hint)
-    lower = max(1, twin_resolving_lower_bound(g), gp.lower)
+    lower = max(1, twin_resolving_lower_bound(g), power.lower)
 
     if n <= exact_limit:
         rows = [bfs_distances(g, v) for v in range(n)]
@@ -225,7 +219,17 @@ def resolving_power_domination_bounds(
         if is_resolving_power_dominating(g, hint_set):
             return Bounds(lower, len(hint_set), hint_set, "sandwich-lower", "hint-certificate")
     part = twin_partition(g)
-    base = set(greedy_resolving_set(g)) | set(gp.certificate)
+    base = set(greedy_resolving_set(g)) | set(power.certificate)
     rows = {v: bfs_distances(g, v) for v in base}
     _prune(base, part, lambda rest: is_power_dominating_set(g, rest) and _resolves(rows, rest, n))
     return Bounds(lower, len(base), frozenset(base), "sandwich-lower", "greedy-union")
+
+
+# The library check for each kind of certificate, keyed by report section.
+# Each entry looks its check up by name at call time, so a wrapper later
+# installed on the module attribute sees every call.
+CERTIFICATE_CHECKS: dict[str, Callable[[Graph, Iterable[int]], bool]] = {
+    "gamma_p": lambda g, ids: is_power_dominating_set(g, ids),
+    "dim": lambda g, ids: is_resolving_set(g, ids)[0],
+    "eta_p": lambda g, ids: is_resolving_power_dominating(g, ids),
+}

@@ -28,6 +28,7 @@ from graphmon import (
     is_resolving_set,
     metric_dimension,
     monitoring_closure,
+    power_domination_bounds,
     resolving_power_domination_bounds,
     twin_lower_bound,
     twin_partition,
@@ -348,7 +349,7 @@ def run_sandwich_suite(seed: int, cases: int, big_cases: int = 20) -> list[str]:
         g = random_connected_graph(rng, n, rng.uniform(0.1, 0.5))
         gamma_p = brute_force(g, "gamma_p").optimum
         dim = metric_dimension(g)[0]
-        eta = resolving_power_domination_bounds(g, exact_limit=16).upper
+        eta = resolving_power_domination_bounds(g, power_domination_bounds(g), exact_limit=16).upper
         if not (max(dim, gamma_p) <= eta <= dim + gamma_p):
             bad.append(f"case {i}: sandwich failed, dim={dim} gamma_p={gamma_p} eta={eta}")
     return bad

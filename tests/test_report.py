@@ -11,6 +11,7 @@ from graphmon import (
     GraphError,
     build_graph,
     build_report,
+    canonical_power_dominating_set,
     fractal_cubic_network,
     report_to_json,
     verify_report,
@@ -105,7 +106,6 @@ def test_power_domination_bounds_computed_once(graph, request, monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(graphmon.report, "power_domination_bounds", counting)
-    monkeypatch.setattr(graphmon.resolving, "power_domination_bounds", counting)
     report = build_report(g, timestamp=STAMP)
     assert len(calls) == 1
     assert verify_report(g, report) == []
@@ -115,9 +115,9 @@ def test_eta_p_exact_search_is_clamped(c4, monkeypatch):
     limits = []
     original = graphmon.report.resolving_power_domination_bounds
 
-    def recording(g, **kwargs):
+    def recording(g, power, **kwargs):
         limits.append(kwargs["exact_limit"])
-        return original(g, **kwargs)
+        return original(g, power, **kwargs)
 
     monkeypatch.setattr(graphmon.report, "resolving_power_domination_bounds", recording)
     for exact_limit in (30, 3):
@@ -238,6 +238,53 @@ def test_verify_reports_malformed_summary_census_and_report(fcn1):
     ]
 
 
+def test_verify_checks_every_summary_and_census_field(fcn1):
+    report = json.loads(report_to_json(build_report(fcn1, timestamp=STAMP)))
+    histogram = "graph_summary.degree_histogram does not match a fresh computation"
+    tamperings = [
+        (("graph_summary", "diameter", 99), "graph_summary.diameter is 99, expected an int from 6 to 12"),
+        (("graph_summary", "degree_histogram", {"7": 1}), histogram),
+        (("twin_census", "open_count", 42), "twin_census.open_count is 42, expected 4"),
+        (("graph_summary", "n", 16.0), "graph_summary.n is 16.0, expected 16"),
+        (("graph_summary", "n", True), "graph_summary.n is True, expected 16"),
+        (("graph_summary", "diameter", 5), "graph_summary.diameter is 5, expected an int from 6 to 12"),
+        (("graph_summary", "degree_histogram", {"2": 12, "4": 3}), histogram),
+        (("graph_summary", "degree_histogram", {"2": 12, "4": 4.0}), histogram),
+        (("twin_census", "closed_count", "0"), "twin_census.closed_count is '0', expected 0"),
+        (
+            ("graph_summary", "diameter", "disconnected"),
+            "graph_summary.diameter is 'disconnected', expected an int from 6 to 12",
+        ),
+    ]
+    for (key, field, value), problem in tamperings:
+        bad = json.loads(json.dumps(report))
+        bad[key][field] = value
+        assert verify_report(fcn1, bad) == [problem], (key, field, value)
+
+
+def test_verify_flags_in_memory_values_that_only_look_right():
+    # True == 1, and the keys 1 and "1" name the same degree.
+    k2 = build_graph(["v", "w"], [("v", "w")])
+    report = build_report(k2, timestamp=STAMP)
+    report["graph_summary"].update(m=True, degree_histogram={1: 2, "1": 2})
+    assert verify_report(k2, report) == [
+        "graph_summary.m is True, expected 1",
+        "graph_summary.degree_histogram does not match a fresh computation",
+    ]
+
+
+def test_clean_reports_verify_after_a_json_round_trip(c4, fcn2):
+    disconnected = build_graph(["a", "b", "c", "d", "e"], [("a", "b"), ("b", "c")])
+    cases = [
+        (c4, build_report(c4, timestamp=STAMP)),
+        (fcn2, build_report(fcn2, hint=canonical_power_dominating_set(2), timestamp=STAMP)),
+        (disconnected, build_report(disconnected, checks=["twins", "gamma_p"], timestamp=STAMP)),
+    ]
+    for g, report in cases:
+        assert verify_report(g, report) == []
+        assert verify_report(g, json.loads(report_to_json(report))) == []
+
+
 @functools.cache
 def _fcn1_report_text() -> str:
     return report_to_json(build_report(fractal_cubic_network(1), timestamp=STAMP))
@@ -284,6 +331,8 @@ def test_disconnected_graph_reports():
     assert report["graph_summary"]["diameter"] == "disconnected"
     assert report["gamma_p"]["lower"] == report["gamma_p"]["upper"] == 2
     assert verify_report(g, report) == []
+    report["graph_summary"]["diameter"] = 3
+    assert verify_report(g, report) == ["graph_summary.diameter is 3, expected 'disconnected'"]
     for check in ("dim", "eta_p"):
         with pytest.raises(GraphError):
             build_report(g, checks=[check], timestamp=STAMP)

@@ -5,8 +5,10 @@ import random
 import pytest
 
 from graphmon import (
+    Bounds,
     GraphError,
     LimitExceeded,
+    TwinClassBound,
     build_graph,
     canonical_power_dominating_set,
     fractal_cubic_network,
@@ -39,6 +41,60 @@ def two_triangles():
         ["a", "b", "c", "x", "y", "z"],
         [("a", "b"), ("b", "c"), ("a", "c"), ("x", "y"), ("y", "z"), ("x", "z")],
     )
+
+
+TINY = {
+    "empty": build_graph([], []),
+    "K1": build_graph(["v"], []),
+    "K2": build_graph(["v", "w"], [("v", "w")]),
+    "two isolated vertices": build_graph(["v", "w"], []),
+}
+NOTHING = Bounds(0, 0, frozenset(), "exact-search", "exact-search")
+# name -> (no landmarks, all landmarks, greedy resolving, greedy monitoring,
+#          twin bound, dim bounds, eta_p bounds); GraphError where raised
+TINY_ANSWERS = {
+    "empty": (
+        (True, None), (True, None), frozenset(), frozenset(),
+        TwinClassBound(0, (), "exact"), NOTHING, NOTHING,
+    ),
+    "K1": (
+        (True, None), (True, None), frozenset(), frozenset({0}),
+        TwinClassBound(0, (), "exact"), NOTHING,
+        Bounds(1, 1, frozenset({0}), "exact-search", "exact-search", 1),
+    ),
+    "K2": (
+        (False, (0, 1)), (True, None), frozenset({0}), frozenset({0}),
+        TwinClassBound(0, (), "exact"),
+        Bounds(1, 1, frozenset({0}), "exact-search", "exact-search"),
+        Bounds(1, 1, frozenset({0}), "exact-search", "exact-search", 1),
+    ),
+    "two isolated vertices": (
+        GraphError, GraphError, GraphError, frozenset({0, 1}),
+        TwinClassBound(1, (frozenset({0, 1}),), "exact"), GraphError, GraphError,
+    ),
+}
+
+
+def _answer(call):
+    try:
+        return call()
+    except GraphError:
+        return GraphError
+
+
+@pytest.mark.parametrize("name", TINY)
+def test_tiny_graph_answers(name):
+    g = TINY[name]
+    calls = (
+        lambda: is_resolving_set(g, []),
+        lambda: is_resolving_set(g, range(g.n)),
+        lambda: greedy_resolving_set(g),
+        lambda: greedy_power_dominating_set(g),
+        lambda: twin_lower_bound(g),
+        lambda: metric_dimension_bounds(g),
+        lambda: resolving_power_domination_bounds(g, power_domination_bounds(g)),
+    )
+    assert tuple(_answer(call) for call in calls) == TINY_ANSWERS[name]
 
 
 def test_codes_reject_disconnected():
@@ -176,7 +232,7 @@ def test_greedy_union_matches_naive_pruning():
                 swap[min(cls)], swap[max(cls)] = max(cls), min(cls)
             hint = {swap.get(v, v) for v in greedy_power_dominating_set(g)}
         power = power_domination_bounds(g, exact_limit=0, hint=hint)
-        b = resolving_power_domination_bounds(g, exact_limit=0, hint=hint, power_bounds=power)
+        b = resolving_power_domination_bounds(g, power, exact_limit=0, hint=hint)
         if b.upper_method == "hint-certificate":
             continue
         assert b.upper_method == "greedy-union"
@@ -196,21 +252,21 @@ def test_rpds_rejects_disconnected():
 
 
 def test_eta_bounds_c4(c4):
-    b = resolving_power_domination_bounds(c4)
+    b = resolving_power_domination_bounds(c4, power_domination_bounds(c4))
     assert (b.lower, b.upper) == (2, 2)
     assert b.certificate == frozenset({0, 1})
     assert b.lower_method == b.upper_method == "exact-search"
 
 
 def test_eta_bounds_fcn1(fcn1):
-    b = resolving_power_domination_bounds(fcn1)
+    b = resolving_power_domination_bounds(fcn1, power_domination_bounds(fcn1))
     assert (b.lower, b.upper) == (4, 4)
     assert is_resolving_power_dominating(fcn1, b.certificate)
 
 
 def test_eta_bounds_fcn2_with_hint(fcn2):
     hint = canonical_power_dominating_set(2)
-    b = resolving_power_domination_bounds(fcn2, hint=hint)
+    b = resolving_power_domination_bounds(fcn2, power_domination_bounds(fcn2, hint=hint), hint=hint)
     assert (b.lower, b.upper) == (16, 16)
     assert b.certificate == hint
     assert b.lower_method == "sandwich-lower"
@@ -218,7 +274,7 @@ def test_eta_bounds_fcn2_with_hint(fcn2):
 
 
 def test_eta_bounds_fcn2_without_hint(fcn2):
-    b = resolving_power_domination_bounds(fcn2)
+    b = resolving_power_domination_bounds(fcn2, power_domination_bounds(fcn2))
     assert (b.lower, b.upper) == (16, 16)
     assert b.upper_method == "greedy-union"
     assert is_resolving_power_dominating(fcn2, b.certificate)
@@ -230,15 +286,17 @@ def test_eta_p_exact_matches_naive_search():
     for _ in range(40):
         base = random_connected_graph(rng, rng.randint(2, 8), rng.uniform(0.1, 0.5))
         g = with_planted_twins(rng, base, rng.randint(0, 4))
-        b = resolving_power_domination_bounds(g)
+        power = power_domination_bounds(g)
+        b = resolving_power_domination_bounds(g, power)
         assert b.upper_method == "exact-search"
-        start = max(1, twin_resolving_lower_bound(g), power_domination_bounds(g).lower)
+        start = max(1, twin_resolving_lower_bound(g), power.lower)
         assert (b.lower, b.certificate, b.subsets_examined) == eta_p_exact_reference(g, start)
 
 
 def test_eta_rejects_disconnected():
     with pytest.raises(GraphError):
-        resolving_power_domination_bounds(two_triangles())
+        g = two_triangles()
+        resolving_power_domination_bounds(g, power_domination_bounds(g))
 
 
 def test_metric_dimension_bounds_exact_and_greedy(c4, fcn2):
