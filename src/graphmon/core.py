@@ -1,5 +1,6 @@
 """Immutable simple-graph representation, the distance queries built on it,
-and the bounds type and subset search shared by the invariant modules."""
+and the bounds type, subset search and removal pass shared by the
+invariant modules."""
 
 from __future__ import annotations
 
@@ -235,6 +236,16 @@ class Bounds:
     lower_method: str
     upper_method: str
     subsets_examined: int | None = None
+
+
+def prune(kept: Iterable[int], keeps: Callable[[VertexSet], bool]) -> VertexSet:
+    """Drop members in id order while keeps accepts what is left; the last
+    member is never dropped."""
+    rest = frozenset(kept)
+    for v in sorted(rest):
+        if len(rest) > 1 and keeps(rest - {v}):
+            rest -= {v}
+    return rest
 
 
 def smallest_subset(

@@ -4,25 +4,28 @@ Edge-list text: first line ``n m``, then n label lines, then m edge lines
 ``label1 label2``. JSON: ``{"vertices": [...], "edges": [[a, b], ...]}``.
 Both writers emit labels in id order and edges sorted by id pair, so a
 write/read/write cycle is byte identical. DOT output names vertices by
-their labels and carries no layout attributes.
+their labels and carries no layout attributes. Edge-list labels must be
+nonempty and free of whitespace; DOT labels must hold no quote, backslash
+or line break.
 """
 
 from __future__ import annotations
 
 import json
+from typing import Callable
 
 from .core import Graph, GraphError, build_graph
 
 
-def _writable_labels(g: Graph) -> tuple[str, ...]:
+def _writable_labels(g: Graph, fmt: str, ok: Callable[[str], bool]) -> tuple[str, ...]:
     for lab in g.labels:
-        if not lab or any(c.isspace() for c in lab):
-            raise GraphError(f"label {lab!r} cannot be written to the text format")
+        if not ok(lab):
+            raise GraphError(f"label {lab!r} cannot be written to the {fmt} format")
     return g.labels
 
 
 def to_edgelist_text(g: Graph) -> str:
-    labels = _writable_labels(g)
+    labels = _writable_labels(g, "text", lambda lab: lab and not any(c.isspace() for c in lab))
     lines = [f"{g.n} {g.m}"]
     lines.extend(labels)
     lines.extend(f"{labels[u]} {labels[v]}" for u, v in g.edges())
@@ -42,6 +45,8 @@ def from_edgelist_text(text: str) -> Graph:
         n, m = int(header[0]), int(header[1])
     except ValueError:
         raise GraphError(f"bad header line {lines[0]!r}, expected two integers") from None
+    if n < 0 or m < 0:
+        raise GraphError(f"bad header line {lines[0]!r}, counts must not be negative")
     if len(lines) != 1 + n + m:
         raise GraphError(f"expected {1 + n + m} lines for n={n} m={m}, got {len(lines)}")
     labels = [line.strip() for line in lines[1 : 1 + n]]
@@ -84,7 +89,8 @@ def from_json_text(text: str) -> Graph:
 
 
 def to_dot(g: Graph) -> str:
-    labels = g.labels
+    # Labels are written inside double quotes with no escaping.
+    labels = _writable_labels(g, "DOT", lambda lab: not any(c in '"\\\n\r' for c in lab))
     lines = ["graph G {"]
     lines.extend(f'  "{lab}";' for lab in labels)
     lines.extend(f'  "{labels[u]}" -- "{labels[v]}";' for u, v in g.edges())

@@ -21,6 +21,7 @@ from .core import (
     closed_neighborhood,
     components,
     induced_subgraph,
+    prune,
     smallest_subset,
 )
 from .twins import twin_partition
@@ -158,20 +159,13 @@ def greedy_power_dominating_set(g: Graph) -> VertexSet:
     seeds = {min(c) for c in twin_partition(g).open_classes}
     reached = monitoring_closure(g, seeds).final
     while len(reached) < g.n:
-        best_v = -1
-        best_gain = -1
-        for v in range(g.n):
-            if v in seeds:
-                continue
-            gain = len(monitoring_closure(g, seeds | {v}).final)
-            if gain > best_gain:
-                best_v, best_gain = v, gain
+        # max keeps the first, so the smallest id, among equal closures
+        reached, best_v = max(
+            ((monitoring_closure(g, seeds | {v}).final, v) for v in range(g.n) if v not in seeds),
+            key=lambda pair: len(pair[0]),
+        )
         seeds.add(best_v)
-        reached = monitoring_closure(g, seeds).final
-    for v in sorted(seeds):
-        if len(seeds) > 1 and is_power_dominating_set(g, seeds - {v}):
-            seeds.discard(v)
-    return frozenset(seeds)
+    return prune(seeds, lambda rest: is_power_dominating_set(g, rest))
 
 
 def power_domination_bounds(

@@ -9,6 +9,7 @@ monitors the whole graph.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Callable, Iterable, Sequence
 
 from .core import (
@@ -21,6 +22,7 @@ from .core import (
     bfs_distances,
     components,
     is_connected,
+    prune,
     smallest_subset,
 )
 from .powerdom import is_power_dominating_set
@@ -46,18 +48,15 @@ def _resolves(rows, marks: Iterable[int], n: int) -> bool:
     return len(set(_codes([rows[l] for l in marks], n))) == n
 
 
-def _prune(kept: set[int], part: TwinPartition, keeps: Callable[[set[int]], bool]) -> None:
-    """Drop members of kept in id order while keeps accepts the rest.
+def _twins_kept(part: TwinPartition) -> Callable[[VertexSet], bool]:
+    """Whether a set leaves at most one vertex of each twin class out.
 
-    A drop that would leave a vertex and one of its twins out is skipped
-    unasked: twins outside a landmark set share every distance code, so
-    such a set never resolves (the twin lemma).
+    Twins outside a landmark set share every distance code, so a set that
+    fails this never resolves (the twin lemma); checked first, it spares
+    the dearer checks.
     """
-    twin_class = {v: cls for cls in part.open_classes + part.closed_classes for v in cls}
-    for v in sorted(kept):
-        twin_out = any(u != v and u not in kept for u in twin_class.get(v, ()))
-        if len(kept) > 1 and not twin_out and keeps(kept - {v}):
-            kept.discard(v)
+    classes = part.open_classes + part.closed_classes
+    return lambda rest: all(len(c - rest) <= 1 for c in classes)
 
 
 def is_resolving_set(g: Graph, landmarks: Iterable[int]) -> tuple[bool, tuple[int, int] | None]:
@@ -97,11 +96,8 @@ def metric_dimension(g: Graph, limit: int = EXACT_LIMIT) -> tuple[int, tuple[int
         )
     _require_connected(g, "metric dimension")
     n = g.n
-    if n <= 1:
-        return 0, ()
     rows = [bfs_distances(g, v) for v in range(n)]
-    start = max(1, twin_resolving_lower_bound(g))
-    basis, _ = smallest_subset(n, start, lambda s: _resolves(rows, s, n))
+    basis, _ = smallest_subset(n, twin_resolving_lower_bound(g), lambda s: _resolves(rows, s, n))
     return len(basis), basis
 
 
@@ -129,29 +125,21 @@ def greedy_resolving_set(g: Graph) -> VertexSet:
         buckets: dict[tuple[int, ...], list[int]] = {}
         for v, code in enumerate(_codes([row(l) for l in sorted(chosen)], n)):
             buckets.setdefault(code, []).append(v)
-        groups = [vs for vs in buckets.values() if len(vs) >= 2]
-        if not groups:
+        grouped = [(i, u) for i, vs in enumerate(buckets.values()) if len(vs) >= 2 for u in vs]
+        if not grouped:
             break
-        best_v = -1
-        best_gain = 0
-        for v in range(n):
-            if v in chosen:
-                continue
+
+        def colliding(v: int) -> int:
+            """Pairs within a group that v's distances still leave equal."""
             rv = row(v)
-            gain = 0
-            for vs in groups:
-                sizes: dict[int, int] = {}
-                for u in vs:
-                    sizes[rv[u]] = sizes.get(rv[u], 0) + 1
-                whole = len(vs)
-                gain += whole * (whole - 1) // 2
-                gain -= sum(c * (c - 1) // 2 for c in sizes.values())
-            if gain > best_gain:
-                best_v, best_gain = v, gain
-        chosen.add(best_v)
+            sizes = Counter((i, rv[u]) for i, u in grouped)
+            return sum(c * (c - 1) // 2 for c in sizes.values())
+
+        # min keeps the first, so the smallest id, among equal counts
+        chosen.add(min((v for v in range(n) if v not in chosen), key=colliding))
     # Every landmark's row is cached by now.
-    _prune(chosen, part, lambda rest: _resolves(rows, rest, n))
-    return frozenset(chosen)
+    twins_kept = _twins_kept(part)
+    return prune(chosen, lambda rest: twins_kept(rest) and _resolves(rows, rest, n))
 
 
 def metric_dimension_bounds(
@@ -218,11 +206,14 @@ def resolving_power_domination_bounds(
         hint_set = g.check_vertex_set(hint)
         if is_resolving_power_dominating(g, hint_set):
             return Bounds(lower, len(hint_set), hint_set, "sandwich-lower", "hint-certificate")
-    part = twin_partition(g)
-    base = set(greedy_resolving_set(g)) | set(power.certificate)
+    base = greedy_resolving_set(g) | power.certificate
     rows = {v: bfs_distances(g, v) for v in base}
-    _prune(base, part, lambda rest: is_power_dominating_set(g, rest) and _resolves(rows, rest, n))
-    return Bounds(lower, len(base), frozenset(base), "sandwich-lower", "greedy-union")
+    twins_kept = _twins_kept(twin_partition(g))
+    cert = prune(
+        base,
+        lambda rest: twins_kept(rest) and is_power_dominating_set(g, rest) and _resolves(rows, rest, n),
+    )
+    return Bounds(lower, len(cert), cert, "sandwich-lower", "greedy-union")
 
 
 # The library check for each kind of certificate, keyed by report section.

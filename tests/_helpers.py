@@ -2,7 +2,7 @@
 propagation engine, trace replay, the randomized property suites, and
 plain reference versions of library paths (all-pairs distances and
 diameter, the resolving check, the exact eta_p search, the greedy
-passes without the twin-lemma skip).
+constructions with their own plain removal loops).
 
 The suites live here so the property tests and the acceptance gate can
 run the same logic on different seeds. Every suite returns a list of
@@ -144,6 +144,29 @@ def greedy_resolving_set_reference(g: Graph) -> frozenset[int]:
         if len(chosen) > 1 and is_resolving_set(g, chosen - {v})[0]:
             chosen.discard(v)
     return frozenset(chosen)
+
+
+def greedy_power_dominating_set_reference(g: Graph) -> frozenset[int]:
+    """The greedy power-dominating construction as a plain loop: a strict
+    `>` scan for the largest closure, the winner's closure computed again,
+    and its own removal pass."""
+    seeds = {min(c) for c in twin_partition(g).open_classes}
+    reached = monitoring_closure(g, seeds).final
+    while len(reached) < g.n:
+        best_v = -1
+        best_gain = -1
+        for v in range(g.n):
+            if v in seeds:
+                continue
+            gain = len(monitoring_closure(g, seeds | {v}).final)
+            if gain > best_gain:
+                best_v, best_gain = v, gain
+        seeds.add(best_v)
+        reached = monitoring_closure(g, seeds).final
+    for v in sorted(seeds):
+        if len(seeds) > 1 and is_power_dominating_set(g, seeds - {v}):
+            seeds.discard(v)
+    return frozenset(seeds)
 
 
 def greedy_union_reference(g: Graph, power_certificate) -> frozenset[int]:

@@ -196,6 +196,15 @@ def test_exit_code_input(c4_file):
     assert missing.returncode == 2
 
 
+@pytest.mark.parametrize("text", ["2 -1\na\n", "-1 1\n"])
+def test_exit_code_negative_header_count(tmp_path, text):
+    path = tmp_path / "negative.txt"
+    path.write_text(text, encoding="utf-8")
+    proc = run_cli("analyze", "--graph", str(path))
+    assert proc.returncode == 2
+    assert "counts must not be negative" in proc.stderr
+
+
 def test_exit_code_limit(c4_file):
     too_big = run_cli("generate", "--dim", "9")
     assert too_big.returncode == 3

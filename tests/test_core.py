@@ -16,7 +16,7 @@ from graphmon import (
     is_connected,
 )
 import graphmon.core
-from graphmon.core import UNREACHABLE
+from graphmon.core import UNREACHABLE, prune
 
 from _helpers import (
     all_pairs_diameter,
@@ -238,3 +238,11 @@ def test_graph_equality_and_hash(c4):
     assert twin == c4
     assert hash(twin) == hash(c4)
     assert build_graph(["00"], []) != c4
+
+
+def test_prune_drops_in_id_order_and_keeps_one_member():
+    # In id order 1 goes, then 2 stays (3 alone fails), then 3 goes;
+    # in reverse order 3 and then 2 would go instead.
+    assert prune({3, 1, 2}, lambda rest: bool(rest & {1, 2})) == frozenset({2})
+    assert prune(range(4), lambda rest: True) == frozenset({3})
+    assert prune((), lambda rest: True) == frozenset()

@@ -79,6 +79,13 @@ def test_edgelist_rejects_bad_header():
         from_edgelist_text("a b\nx\n")
 
 
+@pytest.mark.parametrize("text", ["2 -1\na\n", "-1 1\n"])
+def test_edgelist_rejects_negative_counts(text):
+    header = text.splitlines()[0]
+    with pytest.raises(GraphError, match=f"bad header line '{header}', counts must not be negative"):
+        from_edgelist_text(text)
+
+
 def test_edgelist_rejects_wrong_counts():
     with pytest.raises(GraphError, match="lines"):
         from_edgelist_text("2 1\na\nb\n")
@@ -105,6 +112,13 @@ def test_edgelist_export_rejects_whitespace_labels():
         to_edgelist_text(g)
     # JSON carries arbitrary labels fine
     assert from_json_text(to_json_text(g)) == g
+
+
+@pytest.mark.parametrize("label", ['a"b', "a\\b", "a\nb", "a\rb"])
+def test_dot_export_rejects_labels_it_cannot_quote(label):
+    g = from_json_text(json.dumps({"vertices": [label, "c"], "edges": [[label, "c"]]}))
+    with pytest.raises(GraphError, match="cannot be written to the DOT format"):
+        to_dot(g)
 
 
 def test_json_rejects_malformed_payloads():

@@ -20,9 +20,17 @@ from graphmon import (
     power_domination_bounds,
     trace_to_text,
     twin_lower_bound,
+    twin_partition,
 )
 
-from _helpers import assert_valid_trace, random_connected_graph, random_graph, residue_classes
+from _helpers import (
+    assert_valid_trace,
+    greedy_power_dominating_set_reference,
+    random_connected_graph,
+    random_graph,
+    residue_classes,
+    with_planted_twins,
+)
 
 
 def test_c4_single_seed_trace(c4):
@@ -185,6 +193,22 @@ def test_greedy_pds_is_valid_and_deterministic():
         cert = greedy_power_dominating_set(g)
         assert is_power_dominating_set(g, cert)
         assert greedy_power_dominating_set(g) == cert
+
+
+def test_greedy_pds_matches_the_plain_loop():
+    # Sparse graphs from 10 to 40 vertices, so that the twin seeds rarely
+    # monitor everything and the add loop runs for several steps.
+    rng = random.Random(71)
+    most_added = 0
+    for case in range(36):
+        g = random_connected_graph(rng, rng.randint(10, 40), rng.uniform(0.0, 0.08))
+        if case % 2:
+            g = with_planted_twins(rng, g, rng.randint(1, 4))
+        cert = greedy_power_dominating_set(g)
+        assert cert == greedy_power_dominating_set_reference(g)
+        twin_seeds = {min(c) for c in twin_partition(g).open_classes}
+        most_added = max(most_added, len(cert - twin_seeds))
+    assert most_added >= 3
 
 
 def test_edgeless_graph_needs_every_vertex():

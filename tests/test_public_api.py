@@ -3,6 +3,9 @@
 A name in ``__all__`` that nothing in ``src/graphmon`` or ``bench/``
 refers to exists only for the tests; the tests should reach what they
 need through the used API or through ``tests/_helpers.py`` instead.
+
+The package also enforces no invariant with a bare ``assert``: ``python -O``
+strips those, so the check would silently vanish.
 """
 
 from __future__ import annotations
@@ -54,6 +57,26 @@ def test_every_export_is_used_outside_the_tests():
     unused = [n for n in graphmon.__all__ if n not in used and n not in UNUSED_ON_PURPOSE]
     assert unused == []
     assert set(UNUSED_ON_PURPOSE) <= set(graphmon.__all__)
+
+
+def bare_asserts(paths) -> list[str]:
+    """``file:line`` of every assert statement in the given files."""
+    return [
+        f"{path.name}:{node.lineno}"
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+
+
+def test_no_bare_assert_in_the_package():
+    assert bare_asserts(sorted(PACKAGE.glob("*.py"))) == []
+
+
+def test_bare_assert_scan_flags_an_assert(tmp_path):
+    planted = tmp_path / "planted.py"
+    planted.write_text("def f(x):\n    assert x > 0\n    return x\n")
+    assert bare_asserts([planted]) == ["planted.py:2"]
 
 
 def test_version_has_one_source():

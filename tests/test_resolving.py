@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import graphmon.resolving
 from graphmon import (
     Bounds,
     GraphError,
@@ -215,6 +216,14 @@ def test_greedy_resolving_matches_naive_removal_pass():
         base = random_connected_graph(rng, rng.randint(2, 14), rng.uniform(0.1, 0.5))
         g = with_planted_twins(rng, base, rng.randint(0, 5))
         assert greedy_resolving_set(g) == greedy_resolving_set_reference(g)
+
+
+def test_twins_kept_allows_one_vertex_out_per_class(c4):
+    # C4 has the open twin classes {00, 11} and {01, 10}.
+    twins_kept = graphmon.resolving._twins_kept(twin_partition(c4))
+    assert twins_kept(frozenset(range(4)))
+    assert twins_kept(frozenset({c4.index("00"), c4.index("01")}))
+    assert not twins_kept(frozenset({c4.index("01"), c4.index("10")}))
 
 
 def test_greedy_union_matches_naive_pruning():
