@@ -49,7 +49,12 @@ def from_edgelist_text(text: str) -> Graph:
         raise GraphError(f"bad header line {lines[0]!r}, counts must not be negative")
     if len(lines) != 1 + n + m:
         raise GraphError(f"expected {1 + n + m} lines for n={n} m={m}, got {len(lines)}")
-    labels = [line.strip() for line in lines[1 : 1 + n]]
+    labels = []
+    for number, line in enumerate(lines[1 : 1 + n], start=2):
+        parts = line.split()
+        if len(parts) != 1:
+            raise GraphError(f"bad label on line {number} {line!r}, expected one word")
+        labels.append(parts[0])
     edges = []
     for line in lines[1 + n :]:
         parts = line.split()

@@ -32,6 +32,20 @@ from .twins import TwinPartition, twin_partition
 # so its exhaustive search gets a lower vertex cap.
 ETA_P_EXACT_LIMIT = 16
 
+# The resolving check holds up to three arrays of n landmark masks (seen,
+# arrivals, reached), each up to one bit per landmark. It refuses a graph
+# whose masks could pass this many bytes: FCN(8) with its canonical
+# 65,536 landmarks would need about 6 GiB.
+MASK_MEMORY_LIMIT = 1 << 30
+
+# The resolving check splits classes by each arrival mask's residue mod
+# this prime. The mask itself would hash badly: Python hashes an int by
+# its value mod 2**61 - 1, which gives the masks 1 << i only 61 values.
+# 2 has order 500,000,003 mod this prime, so those masks never collide.
+# Any collision only leaves a class unsplit, and the whole codes built at
+# the end of the check settle what the classes left open.
+_SPREAD = 1_000_000_007
+
 
 def _require_connected(g: Graph, what: str) -> None:
     if not is_connected(g):
@@ -63,16 +77,82 @@ def is_resolving_set(g: Graph, landmarks: Iterable[int]) -> tuple[bool, tuple[in
     """Whether the landmarks give every vertex a distinct code.
 
     Returns (True, None) or (False, witness) where the witness is the
-    first colliding vertex pair in code order.
+    smallest colliding code's two smallest vertex ids.
+
+    One breadth-first search runs from all landmarks at once, carrying at
+    each vertex an int bitmask of the landmarks that reach it at the
+    current level (multi-source BFS). After each level the vertex classes
+    are split by (class, arrival mask), so vertices in different classes
+    have different codes. The check stops as soon as every class is a
+    singleton. Otherwise it runs until a level brings no arrivals, or
+    until few vertices still share a class; only those get whole codes,
+    from one plain BFS per such vertex or per landmark, whichever is
+    fewer. Memory is O(n) masks; no distance rows are kept.
     """
     marks = sorted(g.check_vertex_set(landmarks))
     _require_connected(g, "distance coding")
-    codes = _codes([bfs_distances(g, v) for v in marks], g.n)
-    order = sorted(range(g.n), key=lambda v: (codes[v], v))
-    for a, b in zip(order, order[1:]):
-        if codes[a] == codes[b]:
-            return False, (min(a, b), max(a, b))
-    return True, None
+    n = g.n
+    need = 3 * n * len(marks) // 8
+    if need > MASK_MEMORY_LIMIT:
+        raise LimitExceeded(
+            f"the resolving check of {len(marks)} landmarks on {n} vertices needs about"
+            f" {need >> 20} MiB of landmark masks, over the {MASK_MEMORY_LIMIT >> 20} MiB cap"
+        )
+    adj = g._adj
+    cls = [0] * n
+    size = [n]
+    classes = min(n, 1)
+    seen = [0] * n
+    arrivals = {l: 1 << i for i, l in enumerate(marks)}
+    for l, bit in arrivals.items():
+        seen[l] = bit
+    swept = 0  # vertices the levels so far have reached
+    while classes < n and arrivals:
+        splits: dict[tuple[int, int], int] = {}
+        for v, mask in arrivals.items():
+            old = cls[v]
+            new = splits.setdefault((old, mask % _SPREAD), len(size))
+            if new == len(size):
+                size.append(0)
+                classes += 1
+            cls[v] = new
+            size[new] += 1
+            size[old] -= 1
+            if not size[old]:
+                classes -= 1
+        # At most 2 * (n - classes) vertices still share a class, and plain
+        # BFS gives their whole codes in n steps per vertex or landmark.
+        # Once the levels so far have cost that much, finish that way.
+        if classes == n or min(2 * (n - classes), len(marks)) * n <= swept:
+            break
+        reached: dict[int, int] = {}
+        for u, mask in arrivals.items():
+            for w in adj[u]:
+                reached[w] = reached.get(w, 0) | mask
+        swept += len(reached)
+        arrivals = {}
+        for w, mask in reached.items():
+            mask &= ~seen[w]
+            if mask:
+                seen[w] |= mask
+                arrivals[w] = mask
+    if classes == n:
+        return True, None
+    shared = [v for v in range(n) if size[cls[v]] >= 2]
+    if len(shared) < len(marks):
+        rows = (bfs_distances(g, v) for v in shared)
+        codes = [tuple(row[l] for l in marks) for row in rows]
+    else:
+        rows = (bfs_distances(g, l) for l in marks)
+        codes = _codes([[row[v] for v in shared] for row in rows], len(shared))
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for v, code in zip(shared, codes):
+        groups.setdefault(code, []).append(v)
+    clashes = [(code, vs) for code, vs in groups.items() if len(vs) >= 2]
+    if not clashes:
+        return True, None
+    _, vs = min(clashes)
+    return False, (vs[0], vs[1])
 
 
 def twin_resolving_lower_bound(g: Graph) -> int:

@@ -9,6 +9,8 @@ from pathlib import Path
 import pytest
 
 import graphmon
+import graphmon.cli
+import graphmon.resolving
 from graphmon import (
     fractal_cubic_network,
     from_edgelist_text,
@@ -203,6 +205,12 @@ def test_exit_code_negative_header_count(tmp_path, text):
     proc = run_cli("analyze", "--graph", str(path))
     assert proc.returncode == 2
     assert "counts must not be negative" in proc.stderr
+
+
+def test_exit_code_mask_memory_cap(monkeypatch, capsys):
+    monkeypatch.setattr(graphmon.resolving, "MASK_MEMORY_LIMIT", 100)
+    assert graphmon.cli.main(["analyze", "--dim", "2"]) == 3
+    assert "MiB of landmark masks" in capsys.readouterr().err
 
 
 def test_exit_code_limit(c4_file):

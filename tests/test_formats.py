@@ -106,6 +106,19 @@ def test_edgelist_rejects_empty_input():
         from_edgelist_text("")
 
 
+@pytest.mark.parametrize(
+    "text,line",
+    [("2 0\n\nb\n", "line 2 ''"), ("3 0\na\na b\nc\n", "line 3 'a b'")],
+)
+def test_edgelist_rejects_labels_it_could_not_write(text, line):
+    with pytest.raises(GraphError, match=f"bad label on {line}"):
+        from_edgelist_text(text)
+
+
+def test_edgelist_label_lines_may_be_padded():
+    assert from_edgelist_text("2 1\n  a\nb \na b\n").labels == ("a", "b")
+
+
 def test_edgelist_export_rejects_whitespace_labels():
     g = build_graph(["has space", "b"], [("has space", "b")])
     with pytest.raises(GraphError):

@@ -3,6 +3,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import graphmon.resolving
 from graphmon import (
@@ -152,6 +154,70 @@ def test_is_resolving_set_matches_tuple_codes():
             many = set(rng.sample(range(n), rng.randint(1, n)))
             for marks in (set(), few, many):
                 assert is_resolving_set(g, marks) == resolving_set_reference(g, marks)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    n=st.integers(2, 11),
+    p=st.floats(0.0, 0.7),
+    copies=st.integers(0, 3),
+    share=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_kernel_matches_tuple_reference(n, p, copies, share, seed):
+    # Up to 14 vertices; with_planted_twins adds open or closed twins.
+    rng = random.Random(seed)
+    g = with_planted_twins(rng, random_connected_graph(rng, n, p), copies)
+    marks = {v for v in range(g.n) if rng.random() < share}
+    assert is_resolving_set(g, marks) == resolving_set_reference(g, marks)
+
+
+def cycle(n):
+    labels = [f"c{i:02d}" for i in range(n)]
+    return build_graph(labels, [(labels[i], labels[(i + 1) % n]) for i in range(n)])
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 10, 12, 14])
+def test_kernel_matches_tuple_reference_on_even_cycles(n):
+    # One landmark leaves mirror pairs colliding until the antipode,
+    # the last level, is reached; two adjacent ones resolve.
+    g = cycle(n)
+    for marks in [{v} for v in range(n)] + [{0, v} for v in range(1, n)]:
+        assert is_resolving_set(g, marks) == resolving_set_reference(g, marks)
+    assert is_resolving_set(g, {0}) == (False, (1, n - 1))
+    assert is_resolving_set(g, {0, 1}) == (True, None)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_canonical_set_one_seed_short_leaves_its_twin_pair(d):
+    # Vertex 1 ("0..01") is a seed; dropped, it and its open twin 2
+    # ("0..10") share every distance, and theirs is the smallest code.
+    g = fractal_cubic_network(d)
+    canonical = canonical_power_dominating_set(d)
+    assert is_resolving_set(g, canonical) == (True, None)
+    assert is_resolving_set(g, canonical - {1}) == (False, (1, 2))
+
+
+def test_residue_collisions_leave_the_answer_exact(monkeypatch):
+    # Modulo 2 nearly every arrival mask collides with another, so the
+    # classes stay coarse and the whole codes at the end decide.
+    monkeypatch.setattr(graphmon.resolving, "_SPREAD", 2)
+    rng = random.Random(79)
+    for _ in range(150):
+        base = random_connected_graph(rng, rng.randint(2, 11), rng.uniform(0.1, 0.6))
+        g = with_planted_twins(rng, base, rng.randint(0, 3))
+        marks = set(rng.sample(range(g.n), rng.randint(0, g.n)))
+        assert is_resolving_set(g, marks) == resolving_set_reference(g, marks)
+
+
+def test_mask_memory_cap(monkeypatch, fcn2):
+    # 64 vertices, 16 landmarks, three mask arrays: 64 * 16 * 3 bits = 384 bytes.
+    canonical = canonical_power_dominating_set(2)
+    monkeypatch.setattr(graphmon.resolving, "MASK_MEMORY_LIMIT", 384)
+    assert is_resolving_set(fcn2, canonical) == (True, None)
+    monkeypatch.setattr(graphmon.resolving, "MASK_MEMORY_LIMIT", 383)
+    with pytest.raises(LimitExceeded, match="16 landmarks on 64 vertices"):
+        is_resolving_set(fcn2, canonical)
 
 
 def test_metric_dimension_c4(c4):
