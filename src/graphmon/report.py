@@ -19,6 +19,7 @@ from .resolving import (
     ETA_P_EXACT_LIMIT,
     metric_dimension_bounds,
     resolving_power_domination_bounds,
+    twin_resolving_lower_bound,
 )
 from .twins import twin_report
 from .version import VERSION
@@ -80,6 +81,16 @@ def build_report(
         return out
 
     when = timestamp or datetime.now(timezone.utc).isoformat(timespec="seconds")
+    # Bounded sections first: an input they refuse costs no summary or census.
+    bounds: dict[str, Bounds] = {}
+    if "dim" in wanted or "eta_p" in wanted:
+        bounds["dim"] = metric_dimension_bounds(g, exact_limit=exact_limit, hint=hint)
+    if "gamma_p" in wanted or "eta_p" in wanted:
+        bounds["gamma_p"] = power_domination_bounds(g, exact_limit=exact_limit, hint=hint)
+    if "eta_p" in wanted:
+        bounds["eta_p"] = resolving_power_domination_bounds(
+            g, bounds["gamma_p"], bounds["dim"], exact_limit=min(exact_limit, ETA_P_EXACT_LIMIT)
+        )
     diam = diameter(g)
     report: dict = {
         "report_version": REPORT_VERSION,
@@ -97,18 +108,9 @@ def build_report(
         census["open_count"] = len(census["open"])
         census["closed_count"] = len(census["closed"])
         report["twin_census"] = census
-    if "gamma_p" in wanted or "eta_p" in wanted:
-        power = power_domination_bounds(g, exact_limit=exact_limit, hint=hint)
-    if "gamma_p" in wanted:
-        report["gamma_p"] = section(power, "gamma_p")
-    if "dim" in wanted:
-        dim = metric_dimension_bounds(g, exact_limit=exact_limit, hint=hint)
-        report["dim"] = section(dim, "dim")
-    if "eta_p" in wanted:
-        eta = resolving_power_domination_bounds(
-            g, power, exact_limit=min(exact_limit, ETA_P_EXACT_LIMIT), hint=hint
-        )
-        report["eta_p"] = section(eta, "eta_p")
+    for key in SECTIONS:
+        if key in wanted:
+            report[key] = section(bounds[key], key)
     return report
 
 
@@ -176,8 +178,10 @@ def verify_report(g: Graph, report: object) -> list[str]:
                 f"graph_summary.diameter is {diam!r}, expected an int from {ecc} to {2 * ecc}"
             )
 
+    classes = None
     if "twin_census" in report and isinstance(census, dict):
         expected = twin_report(g)
+        classes = expected["open"] + expected["closed"]
         for kind in ("open", "closed"):
             if census.get(kind) != expected[kind]:
                 problems.append(f"twin_census.{kind} does not match a fresh computation")
@@ -192,6 +196,21 @@ def verify_report(g: Graph, report: object) -> list[str]:
             continue
         if section["lower"] > section["upper"]:
             problems.append(f"{key}: lower {section['lower']} exceeds upper {section['upper']}")
+        # Lower bounds that need no search: the twin lemma's landmark count,
+        # and the sandwich max(gamma_p, dim) <= eta_p.
+        cap = None
+        if key == "dim" and section.get("lower_method") in ("twin-lower", "trivial-lower"):
+            if classes is None:
+                forced = twin_resolving_lower_bound(g)
+            else:
+                forced = sum(len(c) - 1 for c in classes)
+            cap, source = max(1, forced), "the twin bound"
+        elif key == "eta_p" and section.get("lower_method") == "sandwich-lower":
+            sides = [report.get("gamma_p"), report.get("dim")]
+            if all(isinstance(side, dict) and type(side.get("lower")) is int for side in sides):
+                cap, source = max(side["lower"] for side in sides), "the sandwich bound"
+        if cap is not None and section["lower"] > cap:
+            problems.append(f"{key}: lower {section['lower']} exceeds {source} {cap}")
         try:
             ids = [g.index(lbl) for lbl in section[field]]
         except GraphError as exc:

@@ -90,7 +90,6 @@ def is_resolving_set(g: Graph, landmarks: Iterable[int]) -> tuple[bool, tuple[in
     fewer. Memory is O(n) masks; no distance rows are kept.
     """
     marks = sorted(g.check_vertex_set(landmarks))
-    _require_connected(g, "distance coding")
     n = g.n
     need = 3 * n * len(marks) // 8
     if need > MASK_MEMORY_LIMIT:
@@ -98,6 +97,7 @@ def is_resolving_set(g: Graph, landmarks: Iterable[int]) -> tuple[bool, tuple[in
             f"the resolving check of {len(marks)} landmarks on {n} vertices needs about"
             f" {need >> 20} MiB of landmark masks, over the {MASK_MEMORY_LIMIT >> 20} MiB cap"
         )
+    _require_connected(g, "distance coding")
     adj = g._adj
     cls = [0] * n
     size = [n]
@@ -253,26 +253,24 @@ def is_resolving_power_dominating(g: Graph, seeds: Iterable[int]) -> bool:
 def resolving_power_domination_bounds(
     g: Graph,
     power: Bounds,
+    resolving: Bounds,
     exact_limit: int = ETA_P_EXACT_LIMIT,
-    hint: Iterable[int] | None = None,
 ) -> Bounds:
     """Best-known bounds on the resolving power domination number.
 
-    The lower bound is the larger of the twin landmark bound and the
-    power domination lower bound, both of which the combined invariant
-    must respect. Small graphs are solved exactly by searching subset
-    sizes upward from that bound; larger ones get a verified certificate
-    from the hint or from pruning the union of the greedy resolving set
-    and the power domination certificate.
-
-    power is what power_domination_bounds returns for this graph and hint:
-    its lower bound joins the sandwich, and its certificate joins the union.
+    power and resolving are what power_domination_bounds and
+    metric_dimension_bounds return for this graph and hint. A resolving
+    power dominating set is both, so the larger of their lower bounds is
+    the lower bound here. Small graphs are solved exactly by searching
+    subset sizes upward from it. Larger ones get the hint when both
+    sections were certified by it; otherwise the union of the two
+    certificates, which resolves and monitors, pruned.
     """
     _require_connected(g, "resolving power domination")
     n = g.n
     if n == 0:
         return Bounds(0, 0, frozenset(), "exact-search", "exact-search")
-    lower = max(1, twin_resolving_lower_bound(g), power.lower)
+    lower = max(power.lower, resolving.lower)
 
     if n <= exact_limit:
         rows = [bfs_distances(g, v) for v in range(n)]
@@ -282,11 +280,10 @@ def resolving_power_domination_bounds(
         k = len(best)
         return Bounds(k, k, frozenset(best), "exact-search", "exact-search", examined)
 
-    if hint is not None:
-        hint_set = g.check_vertex_set(hint)
-        if is_resolving_power_dominating(g, hint_set):
-            return Bounds(lower, len(hint_set), hint_set, "sandwich-lower", "hint-certificate")
-    base = greedy_resolving_set(g) | power.certificate
+    both_hint = power.upper_method == resolving.upper_method == "hint-certificate"
+    if both_hint and power.certificate == resolving.certificate:
+        return Bounds(lower, power.upper, power.certificate, "sandwich-lower", "hint-certificate")
+    base = resolving.certificate | power.certificate
     rows = {v: bfs_distances(g, v) for v in base}
     twins_kept = _twins_kept(twin_partition(g))
     cert = prune(

@@ -26,7 +26,7 @@ from graphmon import (
     is_power_dominating_set,
     is_resolving_power_dominating,
     is_resolving_set,
-    metric_dimension,
+    metric_dimension_bounds,
     monitoring_closure,
     power_domination_bounds,
     resolving_power_domination_bounds,
@@ -169,9 +169,10 @@ def greedy_power_dominating_set_reference(g: Graph) -> frozenset[int]:
     return frozenset(seeds)
 
 
-def greedy_union_reference(g: Graph, power_certificate) -> frozenset[int]:
-    """The greedy-union eta_p certificate with a naive pruning pass."""
-    base = set(greedy_resolving_set_reference(g)) | set(power_certificate)
+def greedy_union_reference(g: Graph, union) -> frozenset[int]:
+    """The greedy-union eta_p certificate: the union of the dim and gamma_p
+    certificates with a naive pruning pass."""
+    base = set(union)
     for v in sorted(base):
         if len(base) > 1 and is_resolving_power_dominating(g, base - {v}):
             base.discard(v)
@@ -371,10 +372,17 @@ def run_sandwich_suite(seed: int, cases: int, big_cases: int = 20) -> list[str]:
     for i, n in enumerate(sizes):
         g = random_connected_graph(rng, n, rng.uniform(0.1, 0.5))
         gamma_p = brute_force(g, "gamma_p").optimum
-        dim = metric_dimension(g)[0]
-        eta = resolving_power_domination_bounds(g, power_domination_bounds(g), exact_limit=16).upper
+        resolving = metric_dimension_bounds(g)
+        dim = resolving.upper
+        eta = resolving_power_domination_bounds(
+            g, power_domination_bounds(g), resolving, exact_limit=16
+        ).upper
         if not (max(dim, gamma_p) <= eta <= dim + gamma_p):
             bad.append(f"case {i}: sandwich failed, dim={dim} gamma_p={gamma_p} eta={eta}")
+        # The search starts at max(dim, gamma_p), so the oracle, which
+        # starts at 0, checks the lower side independently.
+        if n <= 12 and eta != brute_force(g, "eta_p").optimum:
+            bad.append(f"case {i}: eta={eta} is not the oracle's optimum")
     return bad
 
 

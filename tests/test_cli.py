@@ -154,6 +154,15 @@ def test_analyze_dim_rejects_disconnected(tmp_path):
     assert "error:" in proc.stderr
 
 
+def test_analyze_eta_p_rejects_disconnected(tmp_path):
+    # eta_p sits on the dim bounds, so the dim computation refuses first.
+    path = tmp_path / "two.txt"
+    path.write_text("4 2\na\nb\nc\nd\na b\nc d\n", encoding="utf-8")
+    proc = run_cli("analyze", "--graph", str(path), "--checks", "eta-p")
+    assert proc.returncode == 2
+    assert "metric dimension requires a connected graph" in proc.stderr
+
+
 def test_analyze_rejects_unknown_check(c4_file):
     proc = run_cli("analyze", "--graph", c4_file, "--checks", "twins,bogus")
     assert proc.returncode == 1

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from graphmon import (
     GraphError,
+    LimitExceeded,
     build_graph,
     build_report,
     canonical_power_dominating_set,
@@ -16,6 +17,7 @@ from graphmon import (
     report_to_json,
     verify_report,
 )
+import graphmon.powerdom
 import graphmon.report
 import graphmon.resolving
 from graphmon.version import VERSION
@@ -95,29 +97,71 @@ def test_hint_method_names_the_hint(fcn2):
     assert tagged == plain
 
 
-@pytest.mark.parametrize("graph", ["c4", "fcn2"])
-def test_power_domination_bounds_computed_once(graph, request, monkeypatch):
-    g = request.getfixturevalue(graph)
+def _count_calls(monkeypatch, module, name: str) -> list:
     calls = []
-    original = graphmon.report.power_domination_bounds
+    original = getattr(module, name)
 
     def counting(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(graphmon.report, "power_domination_bounds", counting)
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("graph", ["c4", "fcn2"])
+def test_power_domination_bounds_computed_once(graph, request, monkeypatch):
+    g = request.getfixturevalue(graph)
+    calls = _count_calls(monkeypatch, graphmon.report, "power_domination_bounds")
     report = build_report(g, timestamp=STAMP)
     assert len(calls) == 1
     assert verify_report(g, report) == []
+
+
+def test_greedy_resolving_set_computed_once(fcn2, monkeypatch):
+    calls = _count_calls(monkeypatch, graphmon.resolving, "greedy_resolving_set")
+    report = build_report(fcn2, timestamp=STAMP)
+    assert report["dim"]["upper_method"] == "greedy"
+    assert report["eta_p"]["upper_method"] == "greedy-union"
+    assert len(calls) == 1
+
+
+def test_hint_checked_once_per_kind(fcn2, monkeypatch):
+    resolving_checks = _count_calls(monkeypatch, graphmon.resolving, "is_resolving_set")
+    power_checks = _count_calls(monkeypatch, graphmon.powerdom, "is_power_dominating_set")
+    power_checks_here = _count_calls(monkeypatch, graphmon.resolving, "is_power_dominating_set")
+    report = build_report(fcn2, hint=canonical_power_dominating_set(2), timestamp=STAMP)
+    assert {report[k]["upper_method"] for k in ("gamma_p", "dim", "eta_p")} == {"hint-certificate"}
+    assert len(resolving_checks) == 1
+    assert len(power_checks) + len(power_checks_here) == 1
+
+
+def test_eta_p_alone_computes_the_dim_bounds_once(c4, monkeypatch):
+    calls = _count_calls(monkeypatch, graphmon.report, "metric_dimension_bounds")
+    report = build_report(c4, checks=["eta_p"], timestamp=STAMP)
+    assert "dim" not in report
+    assert report["eta_p"]["lower"] == report["eta_p"]["upper"] == 2
+    assert len(calls) == 1
+
+
+def test_refused_input_costs_no_summary_or_census(fcn2, monkeypatch):
+    def unexpected(*args, **kwargs):
+        raise AssertionError("computed before the resolving check refused the input")
+
+    monkeypatch.setattr(graphmon.resolving, "MASK_MEMORY_LIMIT", 100)
+    for name in ("diameter", "twin_report", "power_domination_bounds"):
+        monkeypatch.setattr(graphmon.report, name, unexpected)
+    with pytest.raises(LimitExceeded, match="MiB of landmark masks"):
+        build_report(fcn2, hint=canonical_power_dominating_set(2))
 
 
 def test_eta_p_exact_search_is_clamped(c4, monkeypatch):
     limits = []
     original = graphmon.report.resolving_power_domination_bounds
 
-    def recording(g, power, **kwargs):
+    def recording(g, power, resolving, **kwargs):
         limits.append(kwargs["exact_limit"])
-        return original(g, power, **kwargs)
+        return original(g, power, resolving, **kwargs)
 
     monkeypatch.setattr(graphmon.report, "resolving_power_domination_bounds", recording)
     for exact_limit in (30, 3):
@@ -177,6 +221,55 @@ def test_verify_flags_tampering(c4):
     bad = json.loads(report_to_json(report))
     bad["eta_p"]["certificate"] = ["00", "11"]
     assert any("resolve and monitor" in p for p in verify_report(c4, bad))
+
+
+def _grown(report: dict, key: str, label: str) -> dict:
+    """The report with one more label in a section's certificate, and its
+    lower and upper raised to match: still a valid certificate."""
+    bad = json.loads(report_to_json(report))
+    field = graphmon.report.SECTIONS[key][0]
+    bad[key][field].append(label)
+    bad[key]["upper"] += 1
+    bad[key]["lower"] += 1
+    return bad
+
+
+@pytest.mark.parametrize("checks", [["twins", "dim"], ["dim"]])
+@pytest.mark.parametrize("tag", ["twin-lower", "trivial-lower"])
+def test_verify_flags_dim_lower_above_the_twin_bound(fcn2, checks, tag):
+    # The census, when present, gives the twin classes; otherwise verify
+    # counts them afresh.
+    report = build_report(fcn2, checks=checks, timestamp=STAMP)
+    assert report["dim"]["lower_method"] == "twin-lower"
+    assert verify_report(fcn2, report) == []
+    extra = next(lbl for lbl in fcn2.labels if lbl not in report["dim"]["basis"])
+    bad = _grown(report, "dim", extra)
+    bad["dim"]["lower_method"] = tag
+    assert verify_report(fcn2, bad) == ["dim: lower 17 exceeds the twin bound 16"]
+
+
+def test_verify_flags_eta_p_lower_above_the_sandwich(fcn2):
+    report = build_report(fcn2, timestamp=STAMP)
+    extra = next(lbl for lbl in fcn2.labels if lbl not in report["eta_p"]["certificate"])
+    bad = _grown(report, "eta_p", extra)
+    assert verify_report(fcn2, bad) == ["eta_p: lower 17 exceeds the sandwich bound 16"]
+    # Without both sides of the sandwich there is nothing to hold it to.
+    del bad["gamma_p"]
+    assert verify_report(fcn2, bad) == []
+
+
+def test_verify_lower_bounds_count_closed_twins_and_take_the_larger_side():
+    # K4 is one closed twin class. At exact_limit=0 its dim lower bound is
+    # the twin count 3, above the gamma_p lower bound 1.
+    k4 = build_graph(["a", "b", "c", "d"], [(u, v) for u in "abcd" for v in "abcd" if u < v])
+    report = build_report(k4, exact_limit=0, timestamp=STAMP)
+    assert [report[k]["lower"] for k in ("gamma_p", "dim", "eta_p")] == [1, 3, 3]
+    assert verify_report(k4, report) == []
+    for key, source in (("dim", "the twin bound"), ("eta_p", "the sandwich bound")):
+        field = graphmon.report.SECTIONS[key][0]
+        extra = next(lbl for lbl in k4.labels if lbl not in report[key][field])
+        bad = _grown(report, key, extra)
+        assert verify_report(k4, bad) == [f"{key}: lower 4 exceeds {source} 3"]
 
 
 def test_verify_messages_name_section_and_field(c4):

@@ -95,7 +95,9 @@ def test_tiny_graph_answers(name):
         lambda: greedy_power_dominating_set(g),
         lambda: twin_lower_bound(g),
         lambda: metric_dimension_bounds(g),
-        lambda: resolving_power_domination_bounds(g, power_domination_bounds(g)),
+        lambda: resolving_power_domination_bounds(
+            g, power_domination_bounds(g), metric_dimension_bounds(g)
+        ),
     )
     assert tuple(_answer(call) for call in calls) == TINY_ANSWERS[name]
 
@@ -220,6 +222,12 @@ def test_mask_memory_cap(monkeypatch, fcn2):
         is_resolving_set(fcn2, canonical)
 
 
+def test_mask_memory_cap_comes_before_the_connectivity_check(monkeypatch):
+    monkeypatch.setattr(graphmon.resolving, "MASK_MEMORY_LIMIT", 1)
+    with pytest.raises(LimitExceeded, match="1 landmarks on 6 vertices"):
+        is_resolving_set(two_triangles(), [0])
+
+
 def test_metric_dimension_c4(c4):
     assert metric_dimension(c4) == (2, (0, 1))
 
@@ -307,11 +315,15 @@ def test_greedy_union_matches_naive_pruning():
                 swap[min(cls)], swap[max(cls)] = max(cls), min(cls)
             hint = {swap.get(v, v) for v in greedy_power_dominating_set(g)}
         power = power_domination_bounds(g, exact_limit=0, hint=hint)
-        b = resolving_power_domination_bounds(g, power, exact_limit=0, hint=hint)
+        resolving = metric_dimension_bounds(g, exact_limit=0, hint=hint)
+        b = resolving_power_domination_bounds(g, power, resolving, exact_limit=0)
+        assert b.lower == max(power.lower, resolving.lower)
         if b.upper_method == "hint-certificate":
             continue
         assert b.upper_method == "greedy-union"
-        assert b.certificate == greedy_union_reference(g, power.certificate)
+        assert resolving.certificate == greedy_resolving_set_reference(g)
+        union = resolving.certificate | power.certificate
+        assert b.certificate == greedy_union_reference(g, union)
 
 
 def test_rpds_examples(fcn1, c4):
@@ -327,21 +339,26 @@ def test_rpds_rejects_disconnected():
 
 
 def test_eta_bounds_c4(c4):
-    b = resolving_power_domination_bounds(c4, power_domination_bounds(c4))
+    b = resolving_power_domination_bounds(
+        c4, power_domination_bounds(c4), metric_dimension_bounds(c4)
+    )
     assert (b.lower, b.upper) == (2, 2)
     assert b.certificate == frozenset({0, 1})
     assert b.lower_method == b.upper_method == "exact-search"
 
 
 def test_eta_bounds_fcn1(fcn1):
-    b = resolving_power_domination_bounds(fcn1, power_domination_bounds(fcn1))
+    b = resolving_power_domination_bounds(
+        fcn1, power_domination_bounds(fcn1), metric_dimension_bounds(fcn1)
+    )
     assert (b.lower, b.upper) == (4, 4)
     assert is_resolving_power_dominating(fcn1, b.certificate)
 
 
 def test_eta_bounds_fcn2_with_hint(fcn2):
     hint = canonical_power_dominating_set(2)
-    b = resolving_power_domination_bounds(fcn2, power_domination_bounds(fcn2, hint=hint), hint=hint)
+    power = power_domination_bounds(fcn2, hint=hint)
+    b = resolving_power_domination_bounds(fcn2, power, metric_dimension_bounds(fcn2, hint=hint))
     assert (b.lower, b.upper) == (16, 16)
     assert b.certificate == hint
     assert b.lower_method == "sandwich-lower"
@@ -349,11 +366,58 @@ def test_eta_bounds_fcn2_with_hint(fcn2):
 
 
 def test_eta_bounds_fcn2_without_hint(fcn2):
-    b = resolving_power_domination_bounds(fcn2, power_domination_bounds(fcn2))
+    b = resolving_power_domination_bounds(
+        fcn2, power_domination_bounds(fcn2), metric_dimension_bounds(fcn2)
+    )
     assert (b.lower, b.upper) == (16, 16)
     assert b.upper_method == "greedy-union"
     assert is_resolving_power_dominating(fcn2, b.certificate)
     assert len(b.certificate) == b.upper
+
+
+def test_eta_bounds_take_a_shared_hint_unchecked(fcn2, monkeypatch):
+    hint = canonical_power_dominating_set(2)
+    power = power_domination_bounds(fcn2, hint=hint)
+    resolving = metric_dimension_bounds(fcn2, hint=hint)
+
+    def unexpected(*args):
+        raise AssertionError("the hint was checked again")
+
+    monkeypatch.setattr(graphmon.resolving, "is_resolving_set", unexpected)
+    monkeypatch.setattr(graphmon.resolving, "is_power_dominating_set", unexpected)
+    b = resolving_power_domination_bounds(fcn2, power, resolving)
+    assert (b.lower, b.upper, b.certificate) == (16, 16, hint)
+    assert b.upper_method == "hint-certificate"
+
+
+def test_eta_bounds_prune_two_different_hint_certificates(fcn2):
+    hint = canonical_power_dominating_set(2)
+    extra = min(set(range(fcn2.n)) - hint)
+    power = power_domination_bounds(fcn2, hint=hint)
+    resolving = metric_dimension_bounds(fcn2, hint=hint | {extra})
+    assert resolving.upper_method == "hint-certificate"
+    b = resolving_power_domination_bounds(fcn2, power, resolving)
+    assert b.upper_method == "greedy-union"
+    assert b.certificate == greedy_union_reference(fcn2, hint | {extra})
+    assert b.upper == 16
+
+
+def test_eta_union_starts_from_a_resolving_hint():
+    # {v01, v06} resolves this graph but monitors only five of its vertices,
+    # so the union joins the hint with the greedy monitoring set.
+    g = build_graph(
+        ["v00", "v01", "v02", "v03", "v04", "v05", "v06"],
+        [("v00", "v01"), ("v00", "v02"), ("v00", "v03"), ("v03", "v04"), ("v03", "v05"),
+         ("v04", "v05"), ("v05", "v06")],
+    )
+    hint = {g.index("v01"), g.index("v06")}
+    power = power_domination_bounds(g, exact_limit=0, hint=hint)
+    resolving = metric_dimension_bounds(g, exact_limit=0, hint=hint)
+    assert (power.upper_method, resolving.upper_method) == ("greedy", "hint-certificate")
+    b = resolving_power_domination_bounds(g, power, resolving, exact_limit=0)
+    assert b.upper_method == "greedy-union"
+    assert b.certificate == greedy_union_reference(g, hint | power.certificate)
+    assert is_resolving_power_dominating(g, b.certificate)
 
 
 def test_eta_p_exact_matches_naive_search():
@@ -362,16 +426,17 @@ def test_eta_p_exact_matches_naive_search():
         base = random_connected_graph(rng, rng.randint(2, 8), rng.uniform(0.1, 0.5))
         g = with_planted_twins(rng, base, rng.randint(0, 4))
         power = power_domination_bounds(g)
-        b = resolving_power_domination_bounds(g, power)
+        resolving = metric_dimension_bounds(g)
+        b = resolving_power_domination_bounds(g, power, resolving)
         assert b.upper_method == "exact-search"
-        start = max(1, twin_resolving_lower_bound(g), power.lower)
+        start = max(power.lower, resolving.lower)
         assert (b.lower, b.certificate, b.subsets_examined) == eta_p_exact_reference(g, start)
 
 
 def test_eta_rejects_disconnected():
     with pytest.raises(GraphError):
         g = two_triangles()
-        resolving_power_domination_bounds(g, power_domination_bounds(g))
+        resolving_power_domination_bounds(g, power_domination_bounds(g), metric_dimension_bounds(g))
 
 
 def test_metric_dimension_bounds_exact_and_greedy(c4, fcn2):
