@@ -6,6 +6,16 @@ forces the unique unmonitored neighbor of any monitored vertex that has
 exactly one. The closure is confluent, so the final monitored set does
 not depend on processing order; traces record the canonical order
 (ascending vertex id, synchronous rounds) for reproducibility.
+
+Only monitoring_closure builds a trace. Every yes/no question goes
+through _force, a worklist engine that builds none: it grows a
+fixpoint, given as a monitored flag and an unmonitored-neighbor count
+per vertex, by a set of newly monitored vertices, and revisits only
+the neighbors of vertices it monitors; _unforce takes the growth back.
+Forcing is monotone and idempotent, so growing closure(S) by N[v]
+gives closure(S + v). is_power_dominating_set runs the engine from
+scratch, and the greedy keeps one fixpoint across its add steps,
+scoring each candidate by one grow-and-undo.
 """
 
 from __future__ import annotations
@@ -87,8 +97,47 @@ def monitoring_closure(g: Graph, seeds: Iterable[int]) -> PropagationTrace:
     return PropagationTrace(tuple(dominated), tuple(propagated), final)
 
 
+def _force(
+    adj: tuple[frozenset[int], ...], monitored: bytearray, unmon: list[int], start: Iterable[int]
+) -> list[int]:
+    """Monitor start and force to the new fixpoint; return the vertices
+    this monitored. monitored and unmon (each vertex's count of
+    unmonitored neighbors) must describe a fixpoint on entry."""
+    added: list[int] = []
+
+    def monitor(w: int) -> None:
+        monitored[w] = 1
+        added.append(w)
+        for u in adj[w]:
+            unmon[u] -= 1
+
+    for v in start:
+        if not monitored[v]:
+            monitor(v)
+    # Only a vertex that was just monitored, or lost an unmonitored
+    # neighbor, can start forcing; the loop also visits what it appends.
+    for y in added:
+        for x in (y, *adj[y]):
+            if unmon[x] == 1 and monitored[x]:
+                monitor(next(w for w in adj[x] if not monitored[w]))
+    return added
+
+
+def _unforce(
+    adj: tuple[frozenset[int], ...], monitored: bytearray, unmon: list[int], added: list[int]
+) -> None:
+    """Undo the _force call that returned added."""
+    for w in added:
+        monitored[w] = 0
+        for u in adj[w]:
+            unmon[u] += 1
+
+
 def is_power_dominating_set(g: Graph, seeds: Iterable[int]) -> bool:
-    return len(monitoring_closure(g, seeds).final) == g.n
+    """Whether the seeds' closure monitors every vertex; builds no trace."""
+    adj = g._adj
+    start = closed_neighborhood(g, seeds)  # validates the seeds
+    return len(_force(adj, bytearray(g.n), [len(a) for a in adj], start)) == g.n
 
 
 @dataclass(frozen=True)
@@ -156,15 +205,22 @@ def twin_lower_bound(g: Graph) -> TwinClassBound:
 def greedy_power_dominating_set(g: Graph) -> VertexSet:
     """Deterministic heuristic PDS: one seed per open twin class, then
     maximum-closure-gain additions, then a removal pass."""
+    adj = g._adj
+    monitored = bytearray(g.n)
+    unmon = [len(a) for a in adj]
     seeds = {min(c) for c in twin_partition(g).open_classes}
-    reached = monitoring_closure(g, seeds).final
-    while len(reached) < g.n:
-        # max keeps the first, so the smallest id, among equal closures
-        reached, best_v = max(
-            ((monitoring_closure(g, seeds | {v}).final, v) for v in range(g.n) if v not in seeds),
-            key=lambda pair: len(pair[0]),
-        )
+    reached = len(_force(adj, monitored, unmon, closed_neighborhood(g, seeds)))
+
+    def gain(v: int) -> int:
+        added = _force(adj, monitored, unmon, (v, *adj[v]))
+        _unforce(adj, monitored, unmon, added)
+        return len(added)
+
+    while reached < g.n:
+        # max keeps the first, so the smallest id, among equal gains
+        best_v = max((v for v in range(g.n) if v not in seeds), key=gain)
         seeds.add(best_v)
+        reached += len(_force(adj, monitored, unmon, (best_v, *adj[best_v])))
     return prune(seeds, lambda rest: is_power_dominating_set(g, rest))
 
 

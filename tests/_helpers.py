@@ -149,7 +149,9 @@ def greedy_resolving_set_reference(g: Graph) -> frozenset[int]:
 def greedy_power_dominating_set_reference(g: Graph) -> frozenset[int]:
     """The greedy power-dominating construction as a plain loop: a strict
     `>` scan for the largest closure, the winner's closure computed again,
-    and its own removal pass."""
+    and its own removal pass. Every closure, the removal pass's too, is a
+    traced monitoring_closure, so the library's forcing engine is not
+    used."""
     seeds = {min(c) for c in twin_partition(g).open_classes}
     reached = monitoring_closure(g, seeds).final
     while len(reached) < g.n:
@@ -164,7 +166,7 @@ def greedy_power_dominating_set_reference(g: Graph) -> frozenset[int]:
         seeds.add(best_v)
         reached = monitoring_closure(g, seeds).final
     for v in sorted(seeds):
-        if len(seeds) > 1 and is_power_dominating_set(g, seeds - {v}):
+        if len(seeds) > 1 and len(monitoring_closure(g, seeds - {v}).final) == g.n:
             seeds.discard(v)
     return frozenset(seeds)
 
@@ -197,6 +199,31 @@ def random_connected_graph(rng: random.Random, n: int, p: float) -> Graph:
         for j in range(i + 1, n):
             if rng.random() < p:
                 edges.append((labels[i], labels[j]))
+    return build_graph(labels, edges)
+
+
+def random_tree_plus_chords(rng: random.Random, n: int, chords: int) -> Graph:
+    """Random recursive tree on n vertices plus `chords` distinct non-tree
+    edges: almost no twins, so twin seeding settles little."""
+    labels = [f"v{i:02d}" for i in range(n)]
+    edges = {(rng.randrange(i), i) for i in range(1, n)}
+    while len(edges) < n - 1 + chords:
+        a, b = rng.sample(range(n), 2)
+        edges.add((min(a, b), max(a, b)))
+    return build_graph(labels, [(labels[a], labels[b]) for a, b in sorted(edges)])
+
+
+def path_graph(n: int) -> Graph:
+    labels = [f"p{i}" for i in range(n)]
+    return build_graph(labels, zip(labels, labels[1:]))
+
+
+def grid_graph(rows: int, cols: int) -> Graph:
+    """rows x cols grid; vertex r * cols + c is row r, column c."""
+    lab = lambda r, c: f"r{r}c{c}"
+    labels = [lab(r, c) for r in range(rows) for c in range(cols)]
+    edges = [(lab(r, c), lab(r, c + 1)) for r in range(rows) for c in range(cols - 1)]
+    edges += [(lab(r, c), lab(r + 1, c)) for r in range(rows - 1) for c in range(cols)]
     return build_graph(labels, edges)
 
 

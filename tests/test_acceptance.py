@@ -9,6 +9,7 @@ because the twin-territory lower bound meets the certificate size.
 
 from __future__ import annotations
 
+import random
 import time
 from itertools import combinations
 
@@ -18,6 +19,7 @@ from graphmon import (
     canonical_power_dominating_set,
     closed_neighborhood,
     fractal_cubic_network,
+    greedy_power_dominating_set,
     is_power_dominating_set,
     is_resolving_power_dominating,
     is_resolving_set,
@@ -32,6 +34,8 @@ from graphmon.report import SECTIONS, build_report, verify_report
 
 from _helpers import (
     neighbors_of_set,
+    path_graph,
+    random_tree_plus_chords,
     residue_classes,
     run_distance_identity_suite,
     run_idempotence_suite,
@@ -266,5 +270,33 @@ def test_full_reports_certify_larger_networks():
         ok,
         time.perf_counter() - start,
         20.0,
+    )
+    assert ok
+
+
+def test_greedy_pds_on_a_sparse_graph():
+    g = random_tree_plus_chords(random.Random(1), 400, 200)
+    start = time.perf_counter()
+    cert = greedy_power_dominating_set(g)
+    elapsed = time.perf_counter() - start
+    ok = len(_naive_closure(g, cert)) == g.n
+    ok = verdict(
+        "greedy PDS on a random tree + n/2 chords at n = 400 power-dominates",
+        ok,
+        elapsed,
+        2.0,
+    )
+    assert ok
+
+
+def test_pds_check_on_a_long_path():
+    g = path_graph(4000)
+    start = time.perf_counter()
+    ok = is_power_dominating_set(g, [0]) and not is_power_dominating_set(g, [])
+    ok = verdict(
+        "PDS check on a 4,000-vertex path: one end seed monitors it, no seed does not",
+        ok,
+        time.perf_counter() - start,
+        0.1,
     )
     assert ok

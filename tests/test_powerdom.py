@@ -3,6 +3,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import graphmon.oracle
 import graphmon.powerdom
@@ -12,6 +14,7 @@ from graphmon import (
     brute_force,
     build_graph,
     canonical_power_dominating_set,
+    closed_neighborhood,
     fractal_cubic_network,
     greedy_power_dominating_set,
     is_connected,
@@ -23,11 +26,17 @@ from graphmon import (
     twin_partition,
 )
 
+from graphmon.oracle import _naive_closure
+from graphmon.powerdom import _force, _unforce
+
 from _helpers import (
     assert_valid_trace,
     greedy_power_dominating_set_reference,
+    grid_graph,
+    path_graph,
     random_connected_graph,
     random_graph,
+    random_seed_set,
     residue_classes,
     with_planted_twins,
 )
@@ -55,6 +64,56 @@ def test_empty_seeds_monitor_nothing(c4):
 def test_invalid_seed_rejected(c4):
     with pytest.raises(GraphError):
         monitoring_closure(c4, [7])
+    with pytest.raises(GraphError):
+        is_power_dominating_set(c4, [0, -1])
+
+
+def test_pds_check_agrees_with_the_oracle_engine():
+    # Random graphs and seed sets, plus paths and 3 x k grids seeded at
+    # one end, whose forcing chains run the length of the graph.
+    rng = random.Random(53)
+    cases = []
+    for _ in range(400):
+        make = random_connected_graph if rng.random() < 0.5 else random_graph
+        g = make(rng, rng.randint(1, 16), rng.uniform(0.05, 0.5))
+        cases.append((g, random_seed_set(rng, g, 0, max(1, g.n // 3))))
+    for k in range(1, 61):
+        path = path_graph(k)
+        cases.append((path, [0]))
+        cases.append((path, random_seed_set(rng, path, 0, 2)))
+        grid = grid_graph(3, k)
+        cases.append((grid, [0]))
+        cases.append((grid, [rng.randrange(3) * k]))
+    outcomes = set()
+    for g, seeds in cases:
+        expected = len(_naive_closure(g, seeds)) == g.n
+        assert is_power_dominating_set(g, seeds) == expected, (g.labels, seeds)
+        outcomes.add(expected)
+    assert len(cases) >= 500 and outcomes == {True, False}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 14),
+    p=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_forcing_from_a_partial_fixpoint_matches_from_scratch(n, p, seed, data):
+    g = random_graph(random.Random(seed), n, p)
+    big = data.draw(st.sets(st.integers(0, n - 1)))
+    small = data.draw(st.sets(st.sampled_from(sorted(big)))) if big else set()
+    adj = tuple(g.neighbors(v) for v in range(n))
+    monitored = bytearray(n)
+    unmon = [len(a) for a in adj]
+    _force(adj, monitored, unmon, closed_neighborhood(g, small))
+    assert {v for v in range(n) if monitored[v]} == monitoring_closure(g, small).final
+    before = (bytes(monitored), list(unmon))
+    added = _force(adj, monitored, unmon, closed_neighborhood(g, big))
+    assert {v for v in range(n) if monitored[v]} == monitoring_closure(g, big).final
+    assert unmon == [sum(1 for u in adj[v] if not monitored[u]) for v in range(n)]
+    _unforce(adj, monitored, unmon, added)
+    assert (bytes(monitored), unmon) == before
 
 
 def test_canonical_seeds_monitor_fcn1_in_one_round(fcn1):
@@ -209,6 +268,20 @@ def test_greedy_pds_matches_the_plain_loop():
         twin_seeds = {min(c) for c in twin_partition(g).open_classes}
         most_added = max(most_added, len(cert - twin_seeds))
     assert most_added >= 3
+
+
+def test_greedy_pds_builds_no_trace(monkeypatch):
+    rng = random.Random(79)
+    graphs = [
+        random_connected_graph(rng, rng.randint(10, 40), rng.uniform(0.0, 0.08)) for _ in range(8)
+    ]
+    certs = [greedy_power_dominating_set(g) for g in graphs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("greedy_power_dominating_set built a trace")
+
+    monkeypatch.setattr(graphmon.powerdom, "monitoring_closure", refuse)
+    assert [greedy_power_dominating_set(g) for g in graphs] == certs
 
 
 def test_edgeless_graph_needs_every_vertex():

@@ -23,6 +23,8 @@ from graphmon import (
     trace_to_text,
 )
 
+from _helpers import grid_graph, path_graph, random_tree_plus_chords
+
 GOLDEN = Path(__file__).resolve().parent / "golden" / "traces"
 
 
@@ -35,17 +37,12 @@ def _c4():
 
 
 def _path():
-    labels = [f"p{i}" for i in range(50)]
-    return build_graph(labels, zip(labels, labels[1:])), [0]
+    return path_graph(50), [0]
 
 
 def _grid():
-    lab = lambda r, c: f"r{r}c{c}"
-    labels = [lab(r, c) for r in range(3) for c in range(30)]
-    edges = [(lab(r, c), lab(r, c + 1)) for r in range(3) for c in range(29)]
-    edges += [(lab(r, c), lab(r + 1, c)) for r in range(2) for c in range(30)]
-    g = build_graph(labels, edges)
-    return g, [g.index(lab(0, 0))]
+    g = grid_graph(3, 30)
+    return g, [g.index("r0c0")]
 
 
 def _fcn2_canonical():
@@ -60,14 +57,8 @@ def _fcn2_random():
 def _tree_chords():
     # A random recursive tree on 40 vertices plus 20 distinct chords.
     rng = random.Random(8)
-    n = 40
-    edges = {(rng.randrange(i), i) for i in range(1, n)}
-    while len(edges) < n - 1 + n // 2:
-        a, b = rng.sample(range(n), 2)
-        edges.add((min(a, b), max(a, b)))
-    labels = [f"v{i:02d}" for i in range(n)]
-    g = build_graph(labels, [(labels[a], labels[b]) for a, b in sorted(edges)])
-    return g, rng.sample(range(n), 3)
+    g = random_tree_plus_chords(rng, 40, 20)
+    return g, rng.sample(range(g.n), 3)
 
 
 CASES = {
