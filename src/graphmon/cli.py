@@ -21,6 +21,7 @@ from .formats import load_graph, to_dot, to_edgelist_text, to_json_text
 from .oracle import PROBLEMS, brute_force
 from .powerdom import monitoring_closure, trace_to_text
 from .report import KNOWN_CHECKS, build_report, report_to_json
+from .resolving import check_mask_memory
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -131,8 +132,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     checks = _parse_checks(args.parser.error, args.checks)
     hint = None
     if args.dim is not None:
-        g = fractal_cubic_network(args.dim)
         hint = canonical_power_dominating_set(args.dim)
+        if {"dim", "eta_p"} & set(checks):
+            # The report checks the 4^d canonical seeds as a resolving set of
+            # FCN(d)'s 4^(d+1) vertices: refuse that before building the graph.
+            check_mask_memory(4 ** (args.dim + 1), len(hint))
+        g = fractal_cubic_network(args.dim)
     else:
         g = load_graph(args.graph)
     report = build_report(

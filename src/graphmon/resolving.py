@@ -10,6 +10,7 @@ monitors the whole graph.
 from __future__ import annotations
 
 from collections import Counter
+from operator import add, eq, itemgetter, mul
 from typing import Callable, Iterable, Sequence
 
 from .core import (
@@ -73,6 +74,17 @@ def _twins_kept(part: TwinPartition) -> Callable[[VertexSet], bool]:
     return lambda rest: all(len(c - rest) <= 1 for c in classes)
 
 
+def check_mask_memory(n: int, landmarks: int) -> None:
+    """Raise LimitExceeded when a resolving check of this many landmarks on
+    n vertices could hold more than MASK_MEMORY_LIMIT bytes of masks."""
+    need = 3 * n * landmarks // 8
+    if need > MASK_MEMORY_LIMIT:
+        raise LimitExceeded(
+            f"the resolving check of {landmarks} landmarks on {n} vertices needs about"
+            f" {need >> 20} MiB of landmark masks, over the {MASK_MEMORY_LIMIT >> 20} MiB cap"
+        )
+
+
 def is_resolving_set(g: Graph, landmarks: Iterable[int]) -> tuple[bool, tuple[int, int] | None]:
     """Whether the landmarks give every vertex a distinct code.
 
@@ -91,12 +103,7 @@ def is_resolving_set(g: Graph, landmarks: Iterable[int]) -> tuple[bool, tuple[in
     """
     marks = sorted(g.check_vertex_set(landmarks))
     n = g.n
-    need = 3 * n * len(marks) // 8
-    if need > MASK_MEMORY_LIMIT:
-        raise LimitExceeded(
-            f"the resolving check of {len(marks)} landmarks on {n} vertices needs about"
-            f" {need >> 20} MiB of landmark masks, over the {MASK_MEMORY_LIMIT >> 20} MiB cap"
-        )
+    check_mask_memory(n, len(marks))
     _require_connected(g, "distance coding")
     adj = g._adj
     cls = [0] * n
@@ -181,12 +188,90 @@ def metric_dimension(g: Graph, limit: int = EXACT_LIMIT) -> tuple[int, tuple[int
     return len(basis), basis
 
 
+def _pairs_fit(size: int, n: int) -> bool:
+    """Whether a class of this many vertices is kept as pair masks.
+
+    Its C(size, 2) masks, n bytes each, then number at most n and take no
+    more bytes than the members' distance rows: a row holds n entries of
+    8 bytes, so size rows match 8 * size masks.
+    """
+    return size * (size - 1) // 2 <= min(n, 8 * size)
+
+
+def _split(classes: Iterable[list[int]], dist: Callable[[int], int]) -> list[list[int]]:
+    """The classes split by dist(v), keeping the parts that still pair up."""
+    out = []
+    for cls in classes:
+        parts: dict[int, list[int]] = {}
+        for v in cls:
+            parts.setdefault(dist(v), []).append(v)
+        out += (part for part in parts.values() if len(part) >= 2)
+    return out
+
+
+def _bit_sliced_sum(masks: Iterable[int]) -> list[int]:
+    """Planes whose bit i gives bit k of how many masks have bit i set:
+    one ripple-carry add per mask, each step on whole ints."""
+    planes: list[int] = []
+    for carry in masks:
+        for k, plane in enumerate(planes):
+            planes[k] = plane ^ carry
+            carry &= plane
+            if not carry:
+                break
+        else:
+            planes.append(carry)
+    return planes
+
+
+def _fewest_collisions(
+    n: int, candidates: int, pairs: list[int], large: list[list[list[int]]]
+) -> int:
+    """The candidate that leaves the fewest pairs sharing a code, the
+    smallest id among equals.
+
+    candidates has byte w set for each candidate w, each of pairs has it
+    set where w leaves that pair colliding, and large holds the member
+    rows of each class too large for pair masks.
+    """
+    planes = _bit_sliced_sum(pairs)
+    if not large:
+        # From the top plane down, keep the candidates whose count has a 0
+        # wherever some candidate's has; the lowest survivor wins.
+        best = candidates
+        for plane in reversed(planes):
+            if best & ~plane:
+                best &= ~plane
+        return ((best & -best).bit_length() - 1) >> 3
+    counts = [0] * n
+    for k, plane in enumerate(planes):
+        counts = list(map(add, counts, map((1 << k).__mul__, plane.to_bytes(n, "little"))))
+    rest = [w for w, flag in enumerate(candidates.to_bytes(n, "little")) if flag]
+    for members in large:
+        for w in rest:
+            sizes = Counter(map(itemgetter(w), members)).values()
+            # pairs sharing a distance: the sum of c * (c - 1) / 2
+            counts[w] += (sum(map(mul, sizes, sizes)) - len(members)) >> 1
+    # min keeps the first, so the smallest id, among equal counts
+    return min(rest, key=counts.__getitem__)
+
+
 def greedy_resolving_set(g: Graph) -> VertexSet:
     """Deterministic heuristic resolving set.
 
     Seeds all but the largest member of every twin class (those picks
     are forced anyway), then repeatedly adds the vertex separating the
     most still-colliding pairs, then drops redundant landmarks.
+
+    One resolving check on the seeds settles the common case, FCN
+    among it, with no distance rows. Otherwise the seeds' rows split the
+    vertices into classes by code, and rows come from the vertices that
+    still share one; by symmetry, row a holds d(a, w) for every
+    candidate w. A pair {a, b} of a small class becomes one int with
+    byte w set where d(a, w) = d(b, w), so a bit-sliced sum of these
+    ints counts every candidate's colliding pairs at once, and a pick w
+    keeps the ints whose byte w is set. Larger classes are counted per
+    candidate until picks split them.
     """
     _require_connected(g, "greedy resolving construction")
     n = g.n
@@ -201,25 +286,41 @@ def greedy_resolving_set(g: Graph) -> VertexSet:
             rows[v] = bfs_distances(g, v)
         return rows[v]
 
-    while True:
-        buckets: dict[tuple[int, ...], list[int]] = {}
-        for v, code in enumerate(_codes([row(l) for l in sorted(chosen)], n)):
-            buckets.setdefault(code, []).append(v)
-        grouped = [(i, u) for i, vs in enumerate(buckets.values()) if len(vs) >= 2 for u in vs]
-        if not grouped:
-            break
-
-        def colliding(v: int) -> int:
-            """Pairs within a group that v's distances still leave equal."""
-            rv = row(v)
-            sizes = Counter((i, rv[u]) for i, u in grouped)
-            return sum(c * (c - 1) // 2 for c in sizes.values())
-
-        # min keeps the first, so the smallest id, among equal counts
-        chosen.add(min((v for v in range(n) if v not in chosen), key=colliding))
-    # Every landmark's row is cached by now.
+    if not is_resolving_set(g, chosen)[0]:
+        classes = [list(range(n))]
+        for l in sorted(chosen):
+            classes = _split(classes, row(l).__getitem__)
+        pairs: list[int] = []
+        large: list[list[int]] = []
+        candidates = int.from_bytes(bytes(v not in chosen for v in range(n)), "little")
+        while True:
+            for cls in classes:
+                if not _pairs_fit(len(cls), n):
+                    large.append(cls)
+                    continue
+                members = [row(u) for u in cls]
+                pairs += (
+                    int.from_bytes(bytes(map(eq, a, b)), "little")
+                    for i, a in enumerate(members)
+                    for b in members[i + 1 :]
+                )
+                # The masks replace these rows, so drop them; a member
+                # picked later gets its row again for the removal pass.
+                for u in cls:
+                    del rows[u]
+            if not pairs and not large:
+                break
+            w = _fewest_collisions(n, candidates, pairs, [[row(u) for u in cls] for cls in large])
+            chosen.add(w)
+            byte = 1 << 8 * w
+            candidates ^= byte
+            pairs = [m for m in pairs if m & byte]
+            classes, large = _split(large, lambda u: rows[u][w]), []
     twins_kept = _twins_kept(part)
-    return prune(chosen, lambda rest: twins_kept(rest) and _resolves(rows, rest, n))
+    return prune(
+        chosen,
+        lambda rest: twins_kept(rest) and len(set(_codes([row(l) for l in rest], n))) == n,
+    )
 
 
 def metric_dimension_bounds(

@@ -181,6 +181,20 @@ def greedy_union_reference(g: Graph, union) -> frozenset[int]:
     return frozenset(base)
 
 
+def count_calls(monkeypatch, module, name: str) -> list:
+    """Wrap module.name so each call's arguments are appended to the
+    returned list."""
+    calls = []
+    original = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     labels = [f"v{i:02d}" for i in range(n)]
     edges = [

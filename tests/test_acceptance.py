@@ -20,10 +20,12 @@ from graphmon import (
     closed_neighborhood,
     fractal_cubic_network,
     greedy_power_dominating_set,
+    greedy_resolving_set,
     is_power_dominating_set,
     is_resolving_power_dominating,
     is_resolving_set,
     metric_dimension,
+    metric_dimension_bounds,
     monitoring_closure,
     twin_lower_bound,
     twin_partition,
@@ -298,5 +300,35 @@ def test_pds_check_on_a_long_path():
         ok,
         time.perf_counter() - start,
         0.1,
+    )
+    assert ok
+
+
+def test_unhinted_dim_bounds_on_fcn5():
+    g = fractal_cubic_network(5)
+    start = time.perf_counter()
+    b = metric_dimension_bounds(g)
+    elapsed = time.perf_counter() - start
+    ok = b.lower == b.upper == 4**5 and b.certificate == canonical_power_dominating_set(5)
+    ok = verdict(
+        "unhinted dim bounds on FCN(5) read 1024 = 1024 with the canonical basis",
+        ok,
+        elapsed,
+        1.0,
+    )
+    assert ok
+
+
+def test_greedy_resolving_set_on_a_sparse_graph():
+    g = random_tree_plus_chords(random.Random(1), 400, 200)
+    start = time.perf_counter()
+    landmarks = greedy_resolving_set(g)
+    elapsed = time.perf_counter() - start
+    ok = is_resolving_set(g, landmarks)[0] and len(landmarks) >= twin_resolving_lower_bound(g)
+    ok = verdict(
+        "greedy resolving set on a random tree + n/2 chords at n = 400 resolves",
+        ok,
+        elapsed,
+        1.0,
     )
     assert ok

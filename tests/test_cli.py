@@ -222,6 +222,24 @@ def test_exit_code_mask_memory_cap(monkeypatch, capsys):
     assert "MiB of landmark masks" in capsys.readouterr().err
 
 
+def test_refused_dimension_is_never_built(monkeypatch, capsys):
+    def unexpected(d):
+        raise AssertionError(f"FCN({d}) built before the mask estimate refused it")
+
+    monkeypatch.setattr(graphmon.resolving, "MASK_MEMORY_LIMIT", 100)
+    monkeypatch.setattr(graphmon.cli, "fractal_cubic_network", unexpected)
+    for checks in ("all", "dim", "eta-p"):
+        assert graphmon.cli.main(["analyze", "--dim", "2", "--checks", checks]) == 3
+        assert "16 landmarks on 64 vertices" in capsys.readouterr().err
+
+
+def test_mask_estimate_spares_reports_without_a_resolving_check(monkeypatch, capsys):
+    monkeypatch.setattr(graphmon.resolving, "MASK_MEMORY_LIMIT", 100)
+    assert graphmon.cli.main(["analyze", "--dim", "2", "--checks", "twins,gamma-p"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["gamma_p"]["lower"] == report["gamma_p"]["upper"] == 16
+
+
 def test_exit_code_limit(c4_file):
     too_big = run_cli("generate", "--dim", "9")
     assert too_big.returncode == 3

@@ -22,6 +22,8 @@ import graphmon.report
 import graphmon.resolving
 from graphmon.version import VERSION
 
+from _helpers import count_calls
+
 STAMP = "2026-01-01T00:00:00+00:00"
 
 
@@ -97,29 +99,17 @@ def test_hint_method_names_the_hint(fcn2):
     assert tagged == plain
 
 
-def _count_calls(monkeypatch, module, name: str) -> list:
-    calls = []
-    original = getattr(module, name)
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, counting)
-    return calls
-
-
 @pytest.mark.parametrize("graph", ["c4", "fcn2"])
 def test_power_domination_bounds_computed_once(graph, request, monkeypatch):
     g = request.getfixturevalue(graph)
-    calls = _count_calls(monkeypatch, graphmon.report, "power_domination_bounds")
+    calls = count_calls(monkeypatch, graphmon.report, "power_domination_bounds")
     report = build_report(g, timestamp=STAMP)
     assert len(calls) == 1
     assert verify_report(g, report) == []
 
 
 def test_greedy_resolving_set_computed_once(fcn2, monkeypatch):
-    calls = _count_calls(monkeypatch, graphmon.resolving, "greedy_resolving_set")
+    calls = count_calls(monkeypatch, graphmon.resolving, "greedy_resolving_set")
     report = build_report(fcn2, timestamp=STAMP)
     assert report["dim"]["upper_method"] == "greedy"
     assert report["eta_p"]["upper_method"] == "greedy-union"
@@ -127,9 +117,9 @@ def test_greedy_resolving_set_computed_once(fcn2, monkeypatch):
 
 
 def test_hint_checked_once_per_kind(fcn2, monkeypatch):
-    resolving_checks = _count_calls(monkeypatch, graphmon.resolving, "is_resolving_set")
-    power_checks = _count_calls(monkeypatch, graphmon.powerdom, "is_power_dominating_set")
-    power_checks_here = _count_calls(monkeypatch, graphmon.resolving, "is_power_dominating_set")
+    resolving_checks = count_calls(monkeypatch, graphmon.resolving, "is_resolving_set")
+    power_checks = count_calls(monkeypatch, graphmon.powerdom, "is_power_dominating_set")
+    power_checks_here = count_calls(monkeypatch, graphmon.resolving, "is_power_dominating_set")
     report = build_report(fcn2, hint=canonical_power_dominating_set(2), timestamp=STAMP)
     assert {report[k]["upper_method"] for k in ("gamma_p", "dim", "eta_p")} == {"hint-certificate"}
     assert len(resolving_checks) == 1
@@ -137,7 +127,7 @@ def test_hint_checked_once_per_kind(fcn2, monkeypatch):
 
 
 def test_eta_p_alone_computes_the_dim_bounds_once(c4, monkeypatch):
-    calls = _count_calls(monkeypatch, graphmon.report, "metric_dimension_bounds")
+    calls = count_calls(monkeypatch, graphmon.report, "metric_dimension_bounds")
     report = build_report(c4, checks=["eta_p"], timestamp=STAMP)
     assert "dim" not in report
     assert report["eta_p"]["lower"] == report["eta_p"]["upper"] == 2

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -30,10 +31,14 @@ from graphmon import (
 
 from _helpers import (
     all_pairs_distances,
+    count_calls,
     eta_p_exact_reference,
     greedy_resolving_set_reference,
     greedy_union_reference,
+    grid_graph,
+    path_graph,
     random_connected_graph,
+    random_tree_plus_chords,
     resolving_set_reference,
     with_planted_twins,
 )
@@ -290,6 +295,104 @@ def test_greedy_resolving_matches_naive_removal_pass():
         base = random_connected_graph(rng, rng.randint(2, 14), rng.uniform(0.1, 0.5))
         g = with_planted_twins(rng, base, rng.randint(0, 5))
         assert greedy_resolving_set(g) == greedy_resolving_set_reference(g)
+
+
+@pytest.mark.parametrize("twins", [0, 6])
+@pytest.mark.parametrize("n", [40, 80, 120, 160, 200])
+def test_greedy_resolving_matches_reference_on_sparse_graphs(n, twins):
+    # Tree + chord graphs mix classes kept as pair masks with classes too
+    # large for them; planted twins add seeds that split the first class.
+    rng = random.Random(83 * n + twins)
+    for _ in range(3):
+        g = random_tree_plus_chords(rng, n, rng.randint(0, n // 2))
+        if twins:
+            g = with_planted_twins(rng, g, rng.randint(1, twins))
+        assert greedy_resolving_set(g) == greedy_resolving_set_reference(g)
+
+
+TWIN_FREE = {
+    "path40": path_graph(40),
+    "grid3x14": grid_graph(3, 14),
+    "grid5x6": grid_graph(5, 6),
+    "cycle25": cycle(25),
+    "cycle40": cycle(40),
+    # After the corner, the 18-vertex antidiagonal stays too large for
+    # pair masks while the shorter ones become pairs.
+    "grid18x18": grid_graph(18, 18),
+}
+
+
+@pytest.mark.parametrize("name", TWIN_FREE)
+def test_greedy_resolving_matches_reference_on_twin_free_graphs(name):
+    # No twin seeds: one class of all n vertices is counted per candidate
+    # until a pick splits it into classes small enough for pair masks.
+    g = TWIN_FREE[name]
+    assert twin_resolving_lower_bound(g) == 0
+    assert greedy_resolving_set(g) == greedy_resolving_set_reference(g)
+
+
+def test_greedy_resolving_builds_no_rows_when_the_twin_seeds_resolve(monkeypatch):
+    rows = count_calls(monkeypatch, graphmon.resolving, "bfs_distances")
+    checks = count_calls(monkeypatch, graphmon.resolving, "is_resolving_set")
+    before_removal = []
+    original = graphmon.resolving.prune
+
+    def recording(kept, keeps):
+        before_removal.append((len(rows), len(checks)))
+        return original(kept, keeps)
+
+    monkeypatch.setattr(graphmon.resolving, "prune", recording)
+    landmarks = greedy_resolving_set(fractal_cubic_network(3))
+    assert landmarks == canonical_power_dominating_set(3)
+    assert before_removal == [(0, 1)]
+
+
+def test_pair_masks_take_classes_up_to_the_row_bound():
+    # C(s, 2) masks of n bytes fit while C(s, 2) <= min(n, 8 s).
+    fits = graphmon.resolving._pairs_fit
+    assert fits(2, 1) and fits(3, 3) and not fits(3, 2)
+    assert fits(6, 15) and not fits(6, 14)
+    assert fits(17, 136) and fits(17, 10**6) and not fits(17, 135)
+    assert not fits(18, 10**6)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.integers(0, (1 << 24) - 1), max_size=70))
+def test_bit_sliced_sum_counts_every_bit(masks):
+    planes = graphmon.resolving._bit_sliced_sum(masks)
+    for i in range(24):
+        count = sum((plane >> i & 1) << k for k, plane in enumerate(planes))
+        assert count == sum(m >> i & 1 for m in masks)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 12),
+    pair_count=st.integers(0, 40),
+    large_count=st.integers(0, 2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fewest_collisions_matches_a_plain_count(n, pair_count, large_count, seed):
+    # Random pair masks, random member rows for the large classes, and a
+    # random candidate set; few distinct values make ties common.
+    rng = random.Random(seed)
+    as_int = lambda flags: int.from_bytes(bytes(flags), "little")
+    pairs = [as_int(rng.random() < 0.5 for _ in range(n)) for _ in range(pair_count)]
+    large = [
+        [[rng.randrange(3) for _ in range(n)] for _ in range(rng.randint(2, 6))]
+        for _ in range(large_count)
+    ]
+    chosen = [w for w in range(n) if rng.random() < 0.7] or [n - 1]
+
+    def colliding(w):
+        total = sum(m >> 8 * w & 1 for m in pairs)
+        for rows in large:
+            total += sum(c * (c - 1) // 2 for c in Counter(row[w] for row in rows).values())
+        return total
+
+    candidates = as_int(w in chosen for w in range(n))
+    pick = graphmon.resolving._fewest_collisions(n, candidates, pairs, large)
+    assert pick == min(chosen, key=colliding)
 
 
 def test_twins_kept_allows_one_vertex_out_per_class(c4):
