@@ -16,11 +16,11 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .core import EXACT_LIMIT, Graph, GraphError, LimitExceeded
-from .fcn import canonical_power_dominating_set, fractal_cubic_network
+from .fcn import canonical_power_dominating_set, fractal_cubic_network, vertex_count
 from .formats import load_graph, to_dot, to_edgelist_text, to_json_text
 from .oracle import PROBLEMS, brute_force
 from .powerdom import monitoring_closure, trace_to_text
-from .report import KNOWN_CHECKS, build_report, report_to_json
+from .report import DIM_CHECKS, KNOWN_CHECKS, build_report, report_to_json
 from .resolving import check_mask_memory
 
 EXIT_OK = 0
@@ -133,10 +133,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     hint = None
     if args.dim is not None:
         hint = canonical_power_dominating_set(args.dim)
-        if {"dim", "eta_p"} & set(checks):
-            # The report checks the 4^d canonical seeds as a resolving set of
-            # FCN(d)'s 4^(d+1) vertices: refuse that before building the graph.
-            check_mask_memory(4 ** (args.dim + 1), len(hint))
+        if DIM_CHECKS.intersection(checks):
+            # The report checks the canonical seeds as a resolving set of
+            # FCN(d): refuse that before building the graph.
+            check_mask_memory(vertex_count(args.dim), len(hint))
         g = fractal_cubic_network(args.dim)
     else:
         g = load_graph(args.graph)

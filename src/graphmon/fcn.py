@@ -24,13 +24,18 @@ MAX_DIMENSION = 8
 _CYCLE = ((0, 1), (1, 3), (3, 2), (2, 0))
 
 
+def vertex_count(d: int) -> int:
+    """How many vertices FCN(d) has: one per 2d+2 bit string, 4^(d+1)."""
+    return 1 << (2 * d + 2)
+
+
 def _check_dimension(d: int) -> None:
     if d < 0:
         raise GraphError(f"dimension must be nonnegative, got {d}")
     if d > MAX_DIMENSION:
         raise LimitExceeded(
             f"dimension {d} exceeds the cap of {MAX_DIMENSION} "
-            f"(FCN({MAX_DIMENSION}) already has {4 ** (MAX_DIMENSION + 1)} vertices)"
+            f"(FCN({MAX_DIMENSION}) already has {vertex_count(MAX_DIMENSION)} vertices)"
         )
 
 
@@ -38,7 +43,7 @@ def fractal_cubic_network(d: int) -> Graph:
     """Build FCN(d) with vertices labeled by their 2d+2 bit strings."""
     _check_dimension(d)
     width = 2 * d + 2
-    n = 1 << width
+    n = vertex_count(d)
     labels = tuple(format(v, f"0{width}b") for v in range(n))
     adj: list[set[int]] = [set() for _ in range(n)]
 
@@ -70,4 +75,4 @@ def canonical_power_dominating_set(d: int) -> VertexSet:
     _check_dimension(d)
     if d == 0:
         return frozenset({0})
-    return frozenset(range(1, 1 << (2 * d + 2), 4))
+    return frozenset(range(1, vertex_count(d), 4))

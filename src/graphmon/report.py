@@ -33,6 +33,9 @@ SECTIONS = {
     "eta_p": ("certificate", "resolve and monitor"),
 }
 KNOWN_CHECKS = ("twins", *SECTIONS)
+# The checks that build the dim section, which tries the hint as a
+# resolving set.
+DIM_CHECKS = frozenset({"dim", "eta_p"})
 
 
 def degree_histogram(g: Graph) -> dict[int, int]:
@@ -83,7 +86,7 @@ def build_report(
     when = timestamp or datetime.now(timezone.utc).isoformat(timespec="seconds")
     # Bounded sections first: an input they refuse costs no summary or census.
     bounds: dict[str, Bounds] = {}
-    if "dim" in wanted or "eta_p" in wanted:
+    if DIM_CHECKS.intersection(wanted):
         bounds["dim"] = metric_dimension_bounds(g, exact_limit=exact_limit, hint=hint)
     if "gamma_p" in wanted or "eta_p" in wanted:
         bounds["gamma_p"] = power_domination_bounds(g, exact_limit=exact_limit, hint=hint)

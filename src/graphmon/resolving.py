@@ -58,9 +58,9 @@ def _codes(rows: Sequence[Sequence[int]], n: int) -> list[tuple[int, ...]]:
     return list(zip(*rows)) if rows else [()] * n
 
 
-def _resolves(rows, marks: Iterable[int], n: int) -> bool:
-    """Whether marks resolve all n vertices; rows[l] is the BFS row of landmark l."""
-    return len(set(_codes([rows[l] for l in marks], n))) == n
+def _resolves(row: Callable[[int], Sequence[int]], marks: Iterable[int], n: int) -> bool:
+    """Whether marks resolve all n vertices; row(l) is the BFS row of landmark l."""
+    return len(set(_codes([row(l) for l in marks], n))) == n
 
 
 def _twins_kept(part: TwinPartition) -> Callable[[VertexSet], bool]:
@@ -183,8 +183,8 @@ def metric_dimension(g: Graph, limit: int = EXACT_LIMIT) -> tuple[int, tuple[int
         )
     _require_connected(g, "metric dimension")
     n = g.n
-    rows = [bfs_distances(g, v) for v in range(n)]
-    basis, _ = smallest_subset(n, twin_resolving_lower_bound(g), lambda s: _resolves(rows, s, n))
+    row = [bfs_distances(g, v) for v in range(n)].__getitem__
+    basis, _ = smallest_subset(n, twin_resolving_lower_bound(g), lambda s: _resolves(row, s, n))
     return len(basis), basis
 
 
@@ -225,35 +225,25 @@ def _bit_sliced_sum(masks: Iterable[int]) -> list[int]:
 
 
 def _fewest_collisions(
-    n: int, candidates: int, pairs: list[int], large: list[list[list[int]]]
+    n: int, candidates: list[int], pairs: list[int], large: list[list[list[int]]]
 ) -> int:
     """The candidate that leaves the fewest pairs sharing a code, the
     smallest id among equals.
 
-    candidates has byte w set for each candidate w, each of pairs has it
-    set where w leaves that pair colliding, and large holds the member
-    rows of each class too large for pair masks.
+    Each of pairs has byte w set where candidate w leaves that pair
+    colliding, and large holds the member rows of each class too large
+    for pair masks.
     """
-    planes = _bit_sliced_sum(pairs)
-    if not large:
-        # From the top plane down, keep the candidates whose count has a 0
-        # wherever some candidate's has; the lowest survivor wins.
-        best = candidates
-        for plane in reversed(planes):
-            if best & ~plane:
-                best &= ~plane
-        return ((best & -best).bit_length() - 1) >> 3
     counts = [0] * n
-    for k, plane in enumerate(planes):
+    for k, plane in enumerate(_bit_sliced_sum(pairs)):
         counts = list(map(add, counts, map((1 << k).__mul__, plane.to_bytes(n, "little"))))
-    rest = [w for w, flag in enumerate(candidates.to_bytes(n, "little")) if flag]
     for members in large:
-        for w in rest:
+        for w in candidates:
             sizes = Counter(map(itemgetter(w), members)).values()
             # pairs sharing a distance: the sum of c * (c - 1) / 2
             counts[w] += (sum(map(mul, sizes, sizes)) - len(members)) >> 1
     # min keeps the first, so the smallest id, among equal counts
-    return min(rest, key=counts.__getitem__)
+    return min(candidates, key=counts.__getitem__)
 
 
 def greedy_resolving_set(g: Graph) -> VertexSet:
@@ -292,7 +282,6 @@ def greedy_resolving_set(g: Graph) -> VertexSet:
             classes = _split(classes, row(l).__getitem__)
         pairs: list[int] = []
         large: list[list[int]] = []
-        candidates = int.from_bytes(bytes(v not in chosen for v in range(n)), "little")
         while True:
             for cls in classes:
                 if not _pairs_fit(len(cls), n):
@@ -310,17 +299,14 @@ def greedy_resolving_set(g: Graph) -> VertexSet:
                     del rows[u]
             if not pairs and not large:
                 break
+            candidates = [v for v in range(n) if v not in chosen]
             w = _fewest_collisions(n, candidates, pairs, [[row(u) for u in cls] for cls in large])
             chosen.add(w)
             byte = 1 << 8 * w
-            candidates ^= byte
             pairs = [m for m in pairs if m & byte]
             classes, large = _split(large, lambda u: rows[u][w]), []
     twins_kept = _twins_kept(part)
-    return prune(
-        chosen,
-        lambda rest: twins_kept(rest) and len(set(_codes([row(l) for l in rest], n))) == n,
-    )
+    return prune(chosen, lambda rest: twins_kept(rest) and _resolves(row, rest, n))
 
 
 def metric_dimension_bounds(
@@ -374,9 +360,9 @@ def resolving_power_domination_bounds(
     lower = max(power.lower, resolving.lower)
 
     if n <= exact_limit:
-        rows = [bfs_distances(g, v) for v in range(n)]
+        row = [bfs_distances(g, v) for v in range(n)].__getitem__
         best, examined = smallest_subset(
-            n, lower, lambda s: _resolves(rows, s, n) and is_power_dominating_set(g, s)
+            n, lower, lambda s: _resolves(row, s, n) and is_power_dominating_set(g, s)
         )
         k = len(best)
         return Bounds(k, k, frozenset(best), "exact-search", "exact-search", examined)
@@ -385,11 +371,11 @@ def resolving_power_domination_bounds(
     if both_hint and power.certificate == resolving.certificate:
         return Bounds(lower, power.upper, power.certificate, "sandwich-lower", "hint-certificate")
     base = resolving.certificate | power.certificate
-    rows = {v: bfs_distances(g, v) for v in base}
+    row = {v: bfs_distances(g, v) for v in base}.__getitem__
     twins_kept = _twins_kept(twin_partition(g))
     cert = prune(
         base,
-        lambda rest: twins_kept(rest) and is_power_dominating_set(g, rest) and _resolves(rows, rest, n),
+        lambda rest: twins_kept(rest) and is_power_dominating_set(g, rest) and _resolves(row, rest, n),
     )
     return Bounds(lower, len(cert), cert, "sandwich-lower", "greedy-union")
 

@@ -382,7 +382,7 @@ def test_fewest_collisions_matches_a_plain_count(n, pair_count, large_count, see
         [[rng.randrange(3) for _ in range(n)] for _ in range(rng.randint(2, 6))]
         for _ in range(large_count)
     ]
-    chosen = [w for w in range(n) if rng.random() < 0.7] or [n - 1]
+    candidates = [w for w in range(n) if rng.random() < 0.7] or [n - 1]
 
     def colliding(w):
         total = sum(m >> 8 * w & 1 for m in pairs)
@@ -390,9 +390,8 @@ def test_fewest_collisions_matches_a_plain_count(n, pair_count, large_count, see
             total += sum(c * (c - 1) // 2 for c in Counter(row[w] for row in rows).values())
         return total
 
-    candidates = as_int(w in chosen for w in range(n))
     pick = graphmon.resolving._fewest_collisions(n, candidates, pairs, large)
-    assert pick == min(chosen, key=colliding)
+    assert pick == min(candidates, key=colliding)
 
 
 def test_twins_kept_allows_one_vertex_out_per_class(c4):
