@@ -15,7 +15,8 @@ the neighbors of vertices it monitors; _unforce takes the growth back.
 Forcing is monotone and idempotent, so growing closure(S) by N[v]
 gives closure(S + v). is_power_dominating_set runs the engine from
 scratch, and the greedy keeps one fixpoint across its add steps,
-scoring each candidate by one grow-and-undo.
+scoring each candidate that has an unmonitored vertex in its closed
+neighborhood by one grow-and-undo.
 """
 
 from __future__ import annotations
@@ -104,22 +105,28 @@ def _force(
     this monitored. monitored and unmon (each vertex's count of
     unmonitored neighbors) must describe a fixpoint on entry."""
     added: list[int] = []
-
-    def monitor(w: int) -> None:
+    # queue holds vertices to monitor: start, then each vertex forced by
+    # one that is monitored with a single unmonitored neighbor, checked
+    # when it is monitored and when its count drops to one.
+    queue = [*start]
+    for w in queue:
+        if monitored[w]:
+            continue
         monitored[w] = 1
         added.append(w)
-        for u in adj[w]:
-            unmon[u] -= 1
-
-    for v in start:
-        if not monitored[v]:
-            monitor(v)
-    # Only a vertex that was just monitored, or lost an unmonitored
-    # neighbor, can start forcing; the loop also visits what it appends.
-    for y in added:
-        for x in (y, *adj[y]):
-            if unmon[x] == 1 and monitored[x]:
-                monitor(next(w for w in adj[x] if not monitored[w]))
+        for x in adj[w]:
+            left = unmon[x] - 1
+            unmon[x] = left
+            if left == 1 and monitored[x]:
+                for y in adj[x]:
+                    if not monitored[y]:
+                        queue.append(y)
+                        break
+        if unmon[w] == 1:
+            for y in adj[w]:
+                if not monitored[y]:
+                    queue.append(y)
+                    break
     return added
 
 
@@ -217,8 +224,12 @@ def greedy_power_dominating_set(g: Graph) -> VertexSet:
         return len(added)
 
     while reached < g.n:
-        # max keeps the first, so the smallest id, among equal gains
-        best_v = max((v for v in range(g.n) if v not in seeds), key=gain)
+        # A candidate whose closed neighborhood is all monitored gains 0,
+        # while an unmonitored vertex gains at least 1, so only the others
+        # are scored; max keeps the first, so the smallest id, among equal
+        # gains.
+        candidates = (v for v in range(g.n) if (unmon[v] or not monitored[v]) and v not in seeds)
+        best_v = max(candidates, key=gain)
         seeds.add(best_v)
         reached += len(_force(adj, monitored, unmon, (best_v, *adj[best_v])))
     return prune(seeds, lambda rest: is_power_dominating_set(g, rest))

@@ -31,12 +31,14 @@ from graphmon.powerdom import _force, _unforce
 
 from _helpers import (
     assert_valid_trace,
+    count_calls,
     greedy_power_dominating_set_reference,
     grid_graph,
     path_graph,
     random_connected_graph,
     random_graph,
     random_seed_set,
+    random_tree_plus_chords,
     residue_classes,
     with_planted_twins,
 )
@@ -112,6 +114,16 @@ def test_forcing_from_a_partial_fixpoint_matches_from_scratch(n, p, seed, data):
     added = _force(adj, monitored, unmon, closed_neighborhood(g, big))
     assert {v for v in range(n) if monitored[v]} == monitoring_closure(g, big).final
     assert unmon == [sum(1 for u in adj[v] if not monitored[u]) for v in range(n)]
+    # Grow by N[v] as a tuple, as the greedy does; it may hold monitored
+    # vertices. len(added) is the greedy's gain, so each newly monitored
+    # vertex must be listed exactly once.
+    extra = data.draw(st.integers(0, n - 1))
+    old = monitoring_closure(g, big).final
+    more = _force(adj, monitored, unmon, (extra, *adj[extra]))
+    assert sorted(more) == sorted(monitoring_closure(g, big | {extra}).final - old)
+    assert unmon == [sum(1 for u in adj[v] if not monitored[u]) for v in range(n)]
+    _unforce(adj, monitored, unmon, more)
+    assert {v for v in range(n) if monitored[v]} == old
     _unforce(adj, monitored, unmon, added)
     assert (bytes(monitored), unmon) == before
 
@@ -268,6 +280,15 @@ def test_greedy_pds_matches_the_plain_loop():
         twin_seeds = {min(c) for c in twin_partition(g).open_classes}
         most_added = max(most_added, len(cert - twin_seeds))
     assert most_added >= 3
+
+
+def test_greedy_pds_scores_only_candidates_that_can_gain(monkeypatch):
+    # A candidate v with N[v] all monitored gains 0 and is not scored.
+    g = random_tree_plus_chords(random.Random(1), 160, 80)
+    calls = count_calls(monkeypatch, graphmon.powerdom, "_force")
+    cert = greedy_power_dominating_set(g)
+    assert len(calls) == 854
+    assert cert == greedy_power_dominating_set_reference(g)
 
 
 def test_greedy_pds_builds_no_trace(monkeypatch):
