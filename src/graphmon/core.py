@@ -238,12 +238,13 @@ class Bounds:
     subsets_examined: int | None = None
 
 
-def prune(kept: Iterable[int], keeps: Callable[[VertexSet], bool]) -> VertexSet:
-    """Drop members in id order while keeps accepts what is left; the last
-    member is never dropped."""
+def prune(kept: Iterable[int], keeps: Callable[[VertexSet], bool], floor: int) -> VertexSet:
+    """Drop members in id order while keeps accepts what is left, never
+    going below floor members; with floor a proven lower bound, keeps
+    would refuse every smaller set anyway, so it is not asked."""
     rest = frozenset(kept)
     for v in sorted(rest):
-        if len(rest) > 1 and keeps(rest - {v}):
+        if len(rest) > floor and keeps(rest - {v}):
             rest -= {v}
     return rest
 

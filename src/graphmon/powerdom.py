@@ -64,14 +64,10 @@ def monitoring_closure(g: Graph, seeds: Iterable[int]) -> PropagationTrace:
     smallest-id forcer, and vertices within a round are recorded in
     ascending id, so traces are deterministic.
     """
-    members = g.check_vertex_set(seeds)
+    dominated = sorted(closed_neighborhood(g, seeds))  # validates the seeds
     n = g.n
     adj = g._adj
     monitored = bytearray(n)
-    reached = set(members)
-    for v in members:
-        reached |= adj[v]
-    dominated = sorted(reached)
     for v in dominated:
         monitored[v] = 1
     unmon = [sum(1 for u in adj[v] if not monitored[u]) for v in range(n)]
@@ -232,7 +228,8 @@ def greedy_power_dominating_set(g: Graph) -> VertexSet:
         best_v = max(candidates, key=gain)
         seeds.add(best_v)
         reached += len(_force(adj, monitored, unmon, (best_v, *adj[best_v])))
-    return prune(seeds, lambda rest: is_power_dominating_set(g, rest))
+    floor = max(1, twin_lower_bound(g).bound)
+    return prune(seeds, lambda rest: is_power_dominating_set(g, rest), floor)
 
 
 def power_domination_bounds(

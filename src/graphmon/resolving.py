@@ -10,6 +10,7 @@ monitors the whole graph.
 from __future__ import annotations
 
 from collections import Counter
+from functools import cache
 from operator import add, eq, itemgetter, mul
 from typing import Callable, Iterable, Sequence
 
@@ -85,11 +86,9 @@ def check_mask_memory(n: int, landmarks: int) -> None:
         )
 
 
-def is_resolving_set(g: Graph, landmarks: Iterable[int]) -> tuple[bool, tuple[int, int] | None]:
-    """Whether the landmarks give every vertex a distinct code.
-
-    Returns (True, None) or (False, witness) where the witness is the
-    smallest colliding code's two smallest vertex ids.
+def _collisions(g: Graph, landmarks: Iterable[int]) -> list[tuple[tuple[int, ...], list[int]]]:
+    """Every code that two or more vertices share, with its vertices in
+    id order; empty when the landmarks resolve the graph.
 
     One breadth-first search runs from all landmarks at once, carrying at
     each vertex an int bitmask of the landmarks that reach it at the
@@ -144,7 +143,7 @@ def is_resolving_set(g: Graph, landmarks: Iterable[int]) -> tuple[bool, tuple[in
                 seen[w] |= mask
                 arrivals[w] = mask
     if classes == n:
-        return True, None
+        return []
     shared = [v for v in range(n) if size[cls[v]] >= 2]
     if len(shared) < len(marks):
         rows = (bfs_distances(g, v) for v in shared)
@@ -155,7 +154,16 @@ def is_resolving_set(g: Graph, landmarks: Iterable[int]) -> tuple[bool, tuple[in
     groups: dict[tuple[int, ...], list[int]] = {}
     for v, code in zip(shared, codes):
         groups.setdefault(code, []).append(v)
-    clashes = [(code, vs) for code, vs in groups.items() if len(vs) >= 2]
+    return [(code, vs) for code, vs in groups.items() if len(vs) >= 2]
+
+
+def is_resolving_set(g: Graph, landmarks: Iterable[int]) -> tuple[bool, tuple[int, int] | None]:
+    """Whether the landmarks give every vertex a distinct code.
+
+    Returns (True, None) or (False, witness) where the witness is the
+    smallest colliding code's two smallest vertex ids.
+    """
+    clashes = _collisions(g, landmarks)
     if not clashes:
         return True, None
     _, vs = min(clashes)
@@ -209,21 +217,6 @@ def _split(classes: Iterable[list[int]], dist: Callable[[int], int]) -> list[lis
     return out
 
 
-def _bit_sliced_sum(masks: Iterable[int]) -> list[int]:
-    """Planes whose bit i gives bit k of how many masks have bit i set:
-    one ripple-carry add per mask, each step on whole ints."""
-    planes: list[int] = []
-    for carry in masks:
-        for k, plane in enumerate(planes):
-            planes[k] = plane ^ carry
-            carry &= plane
-            if not carry:
-                break
-        else:
-            planes.append(carry)
-    return planes
-
-
 def _fewest_collisions(
     n: int, candidates: list[int], pairs: list[int], large: list[list[list[int]]]
 ) -> int:
@@ -235,8 +228,10 @@ def _fewest_collisions(
     for pair masks.
     """
     counts = [0] * n
-    for k, plane in enumerate(_bit_sliced_sum(pairs)):
-        counts = list(map(add, counts, map((1 << k).__mul__, plane.to_bytes(n, "little"))))
+    # Each mask byte is 0 or 1, so a sum of 255 masks carries no byte
+    # into the next one.
+    for i in range(0, len(pairs), 255):
+        counts = list(map(add, counts, sum(pairs[i : i + 255]).to_bytes(n, "little")))
     for members in large:
         for w in candidates:
             sizes = Counter(map(itemgetter(w), members)).values()
@@ -253,15 +248,16 @@ def greedy_resolving_set(g: Graph) -> VertexSet:
     are forced anyway), then repeatedly adds the vertex separating the
     most still-colliding pairs, then drops redundant landmarks.
 
-    One resolving check on the seeds settles the common case, FCN
-    among it, with no distance rows. Otherwise the seeds' rows split the
-    vertices into classes by code, and rows come from the vertices that
-    still share one; by symmetry, row a holds d(a, w) for every
+    The resolving check's collision classes under the seeds are where
+    the add loop starts; when the seeds resolve (FCN among others) there
+    are none, and no distance row is built. Rows come from the vertices
+    that still share a code; by symmetry, row a holds d(a, w) for every
     candidate w. A pair {a, b} of a small class becomes one int with
-    byte w set where d(a, w) = d(b, w), so a bit-sliced sum of these
-    ints counts every candidate's colliding pairs at once, and a pick w
-    keeps the ints whose byte w is set. Larger classes are counted per
-    candidate until picks split them.
+    byte w set where d(a, w) = d(b, w), so summing these ints counts
+    every candidate's colliding pairs at once, and a pick w keeps the
+    ints whose byte w is set. Larger classes are counted per candidate
+    until picks split them. The removal pass stops at the number of twin
+    seeds, which no resolving set can beat.
     """
     _require_connected(g, "greedy resolving construction")
     n = g.n
@@ -276,37 +272,35 @@ def greedy_resolving_set(g: Graph) -> VertexSet:
             rows[v] = bfs_distances(g, v)
         return rows[v]
 
-    if not is_resolving_set(g, chosen)[0]:
-        classes = [list(range(n))]
-        for l in sorted(chosen):
-            classes = _split(classes, row(l).__getitem__)
-        pairs: list[int] = []
-        large: list[list[int]] = []
-        while True:
-            for cls in classes:
-                if not _pairs_fit(len(cls), n):
-                    large.append(cls)
-                    continue
-                members = [row(u) for u in cls]
-                pairs += (
-                    int.from_bytes(bytes(map(eq, a, b)), "little")
-                    for i, a in enumerate(members)
-                    for b in members[i + 1 :]
-                )
-                # The masks replace these rows, so drop them; a member
-                # picked later gets its row again for the removal pass.
-                for u in cls:
-                    del rows[u]
-            if not pairs and not large:
-                break
-            candidates = [v for v in range(n) if v not in chosen]
-            w = _fewest_collisions(n, candidates, pairs, [[row(u) for u in cls] for cls in large])
-            chosen.add(w)
-            byte = 1 << 8 * w
-            pairs = [m for m in pairs if m & byte]
-            classes, large = _split(large, lambda u: rows[u][w]), []
+    floor = max(1, len(chosen))
+    classes = [vs for _, vs in _collisions(g, chosen)]
+    pairs: list[int] = []
+    large: list[list[int]] = []
+    while True:
+        for cls in classes:
+            if not _pairs_fit(len(cls), n):
+                large.append(cls)
+                continue
+            members = [row(u) for u in cls]
+            pairs += (
+                int.from_bytes(bytes(map(eq, a, b)), "little")
+                for i, a in enumerate(members)
+                for b in members[i + 1 :]
+            )
+            # The masks replace these rows, so drop them; a member
+            # picked later gets its row again for the removal pass.
+            for u in cls:
+                del rows[u]
+        if not pairs and not large:
+            break
+        candidates = [v for v in range(n) if v not in chosen]
+        w = _fewest_collisions(n, candidates, pairs, [[row(u) for u in cls] for cls in large])
+        chosen.add(w)
+        byte = 1 << 8 * w
+        pairs = [m for m in pairs if m & byte]
+        classes, large = _split(large, lambda u: rows[u][w]), []
     twins_kept = _twins_kept(part)
-    return prune(chosen, lambda rest: twins_kept(rest) and _resolves(row, rest, n))
+    return prune(chosen, lambda rest: twins_kept(rest) and _resolves(row, rest, n), floor)
 
 
 def metric_dimension_bounds(
@@ -351,7 +345,8 @@ def resolving_power_domination_bounds(
     the lower bound here. Small graphs are solved exactly by searching
     subset sizes upward from it. Larger ones get the hint when both
     sections were certified by it; otherwise the union of the two
-    certificates, which resolves and monitors, pruned.
+    certificates, which resolves and monitors, pruned no further than
+    the lower bound.
     """
     _require_connected(g, "resolving power domination")
     n = g.n
@@ -371,11 +366,12 @@ def resolving_power_domination_bounds(
     if both_hint and power.certificate == resolving.certificate:
         return Bounds(lower, power.upper, power.certificate, "sandwich-lower", "hint-certificate")
     base = resolving.certificate | power.certificate
-    row = {v: bfs_distances(g, v) for v in base}.__getitem__
+    row = cache(lambda v: bfs_distances(g, v))
     twins_kept = _twins_kept(twin_partition(g))
     cert = prune(
         base,
         lambda rest: twins_kept(rest) and is_power_dominating_set(g, rest) and _resolves(row, rest, n),
+        lower,
     )
     return Bounds(lower, len(cert), cert, "sandwich-lower", "greedy-union")
 

@@ -276,6 +276,25 @@ def test_full_reports_certify_larger_networks():
     assert ok
 
 
+def test_unhinted_full_report_on_fcn6():
+    g = fractal_cubic_network(6)
+    start = time.perf_counter()
+    report = build_report(g)
+    problems = verify_report(g, report)
+    elapsed = time.perf_counter() - start
+    ok = all(report[key]["lower"] == report[key]["upper"] == 4**6 for key in SECTIONS)
+    canonical = sorted(g.labels[v] for v in canonical_power_dominating_set(6))
+    ok = ok and report["gamma_p"]["certificate"] == canonical and problems == []
+    ok = verdict(
+        "unhinted full report on FCN(6) certifies 4096 = 4096 in every section, with the"
+        " canonical gamma_p certificate, and verifies with no problems",
+        ok,
+        elapsed,
+        2.0,
+    )
+    assert ok
+
+
 def test_greedy_pds_on_a_sparse_graph():
     g = random_tree_plus_chords(random.Random(1), 400, 200)
     start = time.perf_counter()

@@ -243,6 +243,25 @@ def test_graph_equality_and_hash(c4):
 def test_prune_drops_in_id_order_and_keeps_one_member():
     # In id order 1 goes, then 2 stays (3 alone fails), then 3 goes;
     # in reverse order 3 and then 2 would go instead.
-    assert prune({3, 1, 2}, lambda rest: bool(rest & {1, 2})) == frozenset({2})
-    assert prune(range(4), lambda rest: True) == frozenset({3})
-    assert prune((), lambda rest: True) == frozenset()
+    assert prune({3, 1, 2}, lambda rest: bool(rest & {1, 2}), floor=1) == frozenset({2})
+    assert prune(range(4), lambda rest: True, floor=1) == frozenset({3})
+    assert prune((), lambda rest: True, floor=1) == frozenset()
+
+
+def test_prune_stops_at_the_floor_without_asking():
+    asked = []
+
+    def keeps(rest):
+        asked.append(rest)
+        return True
+
+    # The lowest ids go until floor members are left, then nothing is asked.
+    assert prune(range(6), keeps, floor=4) == frozenset({2, 3, 4, 5})
+    assert asked == [frozenset(range(1, 6)), frozenset(range(2, 6))]
+    asked.clear()
+    assert prune({7, 8, 9}, keeps, floor=3) == frozenset({7, 8, 9})
+    assert asked == []
+    # A refused member stays and the pass goes on to the next one.
+    assert prune(range(5), lambda rest: 0 in rest, floor=2) == frozenset({0, 4})
+    # A floor above the set's size keeps it whole.
+    assert prune({1, 2}, keeps, floor=5) == frozenset({1, 2})

@@ -5,7 +5,8 @@ refers to exists only for the tests; the tests should reach what they
 need through the used API or through ``tests/_helpers.py`` instead.
 
 The package also enforces no invariant with a bare ``assert``: ``python -O``
-strips those, so the check would silently vanish.
+strips those, so the check would silently vanish. And it parses as Python
+3.10, the oldest version pyproject.toml accepts.
 """
 
 from __future__ import annotations
@@ -77,6 +78,13 @@ def test_bare_assert_scan_flags_an_assert(tmp_path):
     planted = tmp_path / "planted.py"
     planted.write_text("def f(x):\n    assert x > 0\n    return x\n")
     assert bare_asserts([planted]) == ["planted.py:2"]
+
+
+def test_package_parses_as_python_3_10():
+    # pyproject.toml promises requires-python >= 3.10; newer syntax would
+    # break that promise without failing on a newer interpreter.
+    for path in sorted(PACKAGE.glob("*.py")):
+        ast.parse(path.read_text(), str(path), feature_version=(3, 10))
 
 
 def test_version_has_one_source():

@@ -116,6 +116,34 @@ def test_greedy_resolving_set_computed_once(fcn2, monkeypatch):
     assert len(calls) == 1
 
 
+def test_unhinted_removal_passes_stop_at_the_lower_bound(monkeypatch):
+    # On FCN(3) the greedy gamma_p set already meets the twin-class bound,
+    # and so does the eta_p union, so neither pass checks a smaller set
+    # and the union builds no distance row.
+    checks = count_calls(monkeypatch, graphmon.powerdom, "is_power_dominating_set")
+    rows = count_calls(monkeypatch, graphmon.resolving, "bfs_distances")
+    spans = []
+
+    def spanning(module, name, counted):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            before = len(counted)
+            out = original(*args, **kwargs)
+            spans.append((name, len(counted) - before))
+            return out
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    spanning(graphmon.powerdom, "prune", checks)
+    spanning(graphmon.report, "resolving_power_domination_bounds", rows)
+    report = build_report(fractal_cubic_network(3), timestamp=STAMP)
+    assert spans == [("prune", 0), ("resolving_power_domination_bounds", 0)]
+    assert [(report[k]["lower"], report[k]["upper"]) for k in ("gamma_p", "dim", "eta_p")] == [
+        (64, 64)
+    ] * 3
+
+
 def test_hint_checked_once_per_kind(fcn2, monkeypatch):
     resolving_checks = count_calls(monkeypatch, graphmon.resolving, "is_resolving_set")
     power_checks = count_calls(monkeypatch, graphmon.powerdom, "is_power_dominating_set")
