@@ -10,8 +10,9 @@ monitors the whole graph.
 from __future__ import annotations
 
 from collections import Counter
-from functools import cache
-from operator import add, eq, itemgetter, mul
+from functools import cache, partial, reduce
+from itertools import combinations
+from operator import add, eq, itemgetter, mul, or_
 from typing import Callable, Iterable, Sequence
 
 from .core import (
@@ -199,11 +200,75 @@ def metric_dimension(g: Graph, limit: int = EXACT_LIMIT) -> tuple[int, tuple[int
 def _pairs_fit(size: int, n: int) -> bool:
     """Whether a class of this many vertices is kept as pair masks.
 
-    Its C(size, 2) masks, n bytes each, then number at most n and take no
-    more bytes than the members' distance rows: a row holds n entries of
-    8 bytes, so size rows match 8 * size masks.
+    Its C(size, 2) masks, n bytes each, then number at most n and at most
+    8 * size, so they take no more bytes than the size distance rows, of
+    n 8-byte entries each, that a larger class holds while it is counted
+    per candidate.
     """
     return size * (size - 1) // 2 <= min(n, 8 * size)
+
+
+def _row_masks(classes: Iterable[list[int]], row: Callable[[int], list[int]]) -> list[int]:
+    """One int per pair {a, b} of each class, with byte w set where
+    d(a, w) = d(b, w), from the members' distance rows."""
+    return [
+        int.from_bytes(bytes(map(eq, ra, rb)), "little")
+        for cls in classes
+        for ra, rb in combinations([row(u) for u in cls], 2)
+    ]
+
+
+# Turns a string of n bits into n bytes, 1 where the bit is 0.
+_CLEAR_BITS = bytes.maketrans(b"01", b"\x01\x00")
+
+
+def _sweep_masks(g: Graph, pairs: list[tuple[int, int]], levels: int) -> list[int] | None:
+    """The pairs' masks as _row_masks gives them, from one breadth-first
+    search from every vertex at once; None if it needs more levels than
+    given.
+
+    ball[v] is an n-bit int of the vertices within the current level of
+    v, and each level ORs the neighbours' balls into it. By symmetry, w
+    is as far from a as from b exactly when w enters ball[a] and ball[b]
+    at the same level, so the OR of every level's ball[a] ^ ball[b] has
+    bit w set where d(a, w) != d(b, w); the mask has byte w set where it
+    is clear. The levels stop when the balls of all ends hold all n
+    vertices.
+    """
+    n = g.n
+    adj = g._adj
+    full = (1 << n) - 1
+    ball = [1 << v for v in range(n)]
+    ends = {v for pair in pairs for v in pair}
+    diffs = [ball[a] ^ ball[b] for a, b in pairs]
+    while any(ball[v] != full for v in ends):
+        if not levels:
+            return None
+        levels -= 1
+        get = ball.__getitem__
+        ball = [b if b == full else reduce(or_, map(get, nbrs), b) for nbrs, b in zip(adj, ball)]
+        diffs = [d | ball[a] ^ ball[b] for d, (a, b) in zip(diffs, pairs)]
+    # format puts bit n - 1 first, so "big" puts byte w at weight 256**w.
+    return [int.from_bytes(format(d, f"0{n}b").encode().translate(_CLEAR_BITS), "big") for d in diffs]
+
+
+def _first_masks(g: Graph, classes: list[list[int]]) -> list[int]:
+    """The pair masks of the add loop's first classes, whose members have
+    no distance rows yet.
+
+    The sweep replaces the members' rows unless they are cheaper. Its
+    balls take n bits per vertex, twice over during a level, where a row
+    takes 64 bits per vertex; and a level costs two to three BFS rows
+    (measured 1.9 to 2.7 on tree + chord graphs of 160 to 4,000
+    vertices, up to 4.8 on long trees and grids). So the sweep runs only
+    when n is at most 32 times the members, and gets half as many levels
+    as there are members. Otherwise the rows are built, one class at a
+    time, and not kept.
+    """
+    members = sum(map(len, classes))
+    pairs = [pair for cls in classes for pair in combinations(cls, 2)]
+    masks = _sweep_masks(g, pairs, members // 2) if g.n <= 32 * members else None
+    return _row_masks(classes, partial(bfs_distances, g)) if masks is None else masks
 
 
 def _split(classes: Iterable[list[int]], dist: Callable[[int], int]) -> list[list[int]]:
@@ -250,13 +315,15 @@ def greedy_resolving_set(g: Graph) -> VertexSet:
 
     The resolving check's collision classes under the seeds are where
     the add loop starts; when the seeds resolve (FCN among others) there
-    are none, and no distance row is built. Rows come from the vertices
-    that still share a code; by symmetry, row a holds d(a, w) for every
-    candidate w. A pair {a, b} of a small class becomes one int with
-    byte w set where d(a, w) = d(b, w), so summing these ints counts
-    every candidate's colliding pairs at once, and a pick w keeps the
-    ints whose byte w is set. Larger classes are counted per candidate
-    until picks split them. The removal pass stops at the number of twin
+    are none, and no distance row is built. A pair {a, b} of a small
+    class becomes one int with byte w set where d(a, w) = d(b, w), so
+    summing these ints counts every candidate's colliding pairs at once,
+    and a pick w keeps the ints whose byte w is set. The first classes'
+    ints come from one sweep from every vertex at once (_first_masks).
+    Larger classes keep their members' distance rows, since by symmetry
+    row a holds d(a, w) for every candidate w, and are counted per
+    candidate until picks split them; the parts that split off get their
+    ints from those rows. The removal pass stops at the number of twin
     seeds, which no resolving set can beat.
     """
     _require_connected(g, "greedy resolving construction")
@@ -274,31 +341,19 @@ def greedy_resolving_set(g: Graph) -> VertexSet:
 
     floor = max(1, len(chosen))
     classes = [vs for _, vs in _collisions(g, chosen)]
-    pairs: list[int] = []
-    large: list[list[int]] = []
-    while True:
-        for cls in classes:
-            if not _pairs_fit(len(cls), n):
-                large.append(cls)
-                continue
-            members = [row(u) for u in cls]
-            pairs += (
-                int.from_bytes(bytes(map(eq, a, b)), "little")
-                for i, a in enumerate(members)
-                for b in members[i + 1 :]
-            )
-            # The masks replace these rows, so drop them; a member
-            # picked later gets its row again for the removal pass.
-            for u in cls:
-                del rows[u]
-        if not pairs and not large:
-            break
+    pairs = _first_masks(g, [cls for cls in classes if _pairs_fit(len(cls), n)])
+    large = [cls for cls in classes if not _pairs_fit(len(cls), n)]
+    while pairs or large:
         candidates = [v for v in range(n) if v not in chosen]
         w = _fewest_collisions(n, candidates, pairs, [[row(u) for u in cls] for cls in large])
         chosen.add(w)
         byte = 1 << 8 * w
         pairs = [m for m in pairs if m & byte]
-        classes, large = _split(large, lambda u: rows[u][w]), []
+        classes = _split(large, lambda u: rows[u][w])
+        # The masks replace these rows, so pop them; a member picked
+        # later gets its row again for the removal pass.
+        pairs += _row_masks((cls for cls in classes if _pairs_fit(len(cls), n)), rows.pop)
+        large = [cls for cls in classes if not _pairs_fit(len(cls), n)]
     twins_kept = _twins_kept(part)
     return prune(chosen, lambda rest: twins_kept(rest) and _resolves(row, rest, n), floor)
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from operator import eq
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from graphmon import (
     GraphError,
     LimitExceeded,
     TwinClassBound,
+    bfs_distances,
     build_graph,
     canonical_power_dominating_set,
     fractal_cubic_network,
@@ -346,6 +348,92 @@ def test_greedy_resolving_builds_no_rows_when_the_twin_seeds_resolve(monkeypatch
     landmarks = greedy_resolving_set(fractal_cubic_network(3))
     assert landmarks == canonical_power_dominating_set(3)
     assert before_removal == [(0, 1)]
+
+
+def _rows_between_collisions_and_removal(monkeypatch, g):
+    """The greedy resolving set of g, and the bfs_distances calls it makes
+    after the kernel's collision classes and before the removal pass."""
+    rows = count_calls(monkeypatch, graphmon.resolving, "bfs_distances")
+    marks = []
+    collisions, prune = graphmon.resolving._collisions, graphmon.resolving.prune
+
+    def marking_collisions(*args):
+        found = collisions(*args)
+        marks.append(len(rows))
+        return found
+
+    def marking_prune(kept, keeps, floor):
+        marks.append(len(rows))
+        return prune(kept, keeps, floor)
+
+    monkeypatch.setattr(graphmon.resolving, "_collisions", marking_collisions)
+    monkeypatch.setattr(graphmon.resolving, "prune", marking_prune)
+    landmarks = greedy_resolving_set(g)
+    start, end = marks
+    return landmarks, end - start
+
+
+def test_greedy_resolving_sweeps_the_first_classes_without_rows(monkeypatch):
+    # Every first class fits pair masks and the sweep finishes within
+    # its levels, so no member gets a distance row (a loop building the
+    # masks from rows makes 116 calls).
+    g = random_tree_plus_chords(random.Random(0), 160, 80)
+    expected = greedy_resolving_set_reference(g)
+    landmarks, rows = _rows_between_collisions_and_removal(monkeypatch, g)
+    assert landmarks == expected
+    assert rows == 0
+
+
+def test_greedy_resolving_builds_rows_where_the_sweep_gives_up(monkeypatch):
+    # The first classes have 8 members, so the sweep gets 4 levels; it
+    # needs more, and each member's row is built instead.
+    g = random_tree_plus_chords(random.Random(2), 160, 80)
+    expected = greedy_resolving_set_reference(g)
+    landmarks, rows = _rows_between_collisions_and_removal(monkeypatch, g)
+    assert landmarks == expected
+    assert rows == 8
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    shape=st.sampled_from([None, path_graph(40), cycle(40)]),
+    n=st.integers(2, 24),
+    p=st.floats(0.0, 0.4),
+    pair_count=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sweep_masks_match_row_masks(shape, n, p, pair_count, seed):
+    # Random connected graphs, and a path and a cycle of 40, on which
+    # the sweep runs for many levels.
+    rng = random.Random(seed)
+    g = random_connected_graph(rng, n, p) if shape is None else shape
+    pairs = [tuple(rng.sample(range(g.n), 2)) for _ in range(pair_count)]
+    masks = graphmon.resolving._sweep_masks(g, pairs, g.n)
+    assert masks == [
+        int.from_bytes(bytes(map(eq, bfs_distances(g, a), bfs_distances(g, b))), "little")
+        for a, b in pairs
+    ]
+
+
+def test_sweep_gives_up_past_its_levels():
+    # The balls of path ends 0 and 1 hold all 40 vertices after 39 levels.
+    g = path_graph(40)
+    sweep = graphmon.resolving._sweep_masks
+    assert sweep(g, [(0, 1)], 38) is None
+    assert sweep(g, [(0, 1)], 39) == graphmon.resolving._row_masks([[0, 1]], lambda v: bfs_distances(g, v))
+
+
+def test_first_masks_build_rows_where_they_take_less_memory(monkeypatch):
+    # Two members of a complete graph: the sweep needs one level, but its
+    # balls outgrow their two rows once n > 64.
+    rows = count_calls(monkeypatch, graphmon.resolving, "bfs_distances")
+    for n, built in [(64, 0), (65, 2)]:
+        labels = [str(v) for v in range(n)]
+        g = build_graph(labels, [(a, b) for i, a in enumerate(labels) for b in labels[i + 1 :]])
+        rows.clear()
+        masks = graphmon.resolving._first_masks(g, [[0, 1]])
+        assert masks == [int.from_bytes(bytes([0, 0] + [1] * (n - 2)), "little")]
+        assert len(rows) == built
 
 
 def test_pair_masks_take_classes_up_to_the_row_bound():
