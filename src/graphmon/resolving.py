@@ -10,8 +10,8 @@ monitors the whole graph.
 from __future__ import annotations
 
 from collections import Counter
-from functools import cache, partial, reduce
-from itertools import combinations
+from functools import cache, reduce
+from itertools import accumulate, combinations
 from operator import add, eq, itemgetter, mul, or_
 from typing import Callable, Iterable, Sequence
 
@@ -222,10 +222,9 @@ def _row_masks(classes: Iterable[list[int]], row: Callable[[int], list[int]]) ->
 _CLEAR_BITS = bytes.maketrans(b"01", b"\x01\x00")
 
 
-def _sweep_masks(g: Graph, pairs: list[tuple[int, int]], levels: int) -> list[int] | None:
+def _sweep_masks(g: Graph, pairs: list[tuple[int, int]]) -> list[int]:
     """The pairs' masks as _row_masks gives them, from one breadth-first
-    search from every vertex at once; None if it needs more levels than
-    given.
+    search from every vertex at once.
 
     ball[v] is an n-bit int of the vertices within the current level of
     v, and each level ORs the neighbours' balls into it. By symmetry, w
@@ -242,9 +241,6 @@ def _sweep_masks(g: Graph, pairs: list[tuple[int, int]], levels: int) -> list[in
     ends = {v for pair in pairs for v in pair}
     diffs = [ball[a] ^ ball[b] for a, b in pairs]
     while any(ball[v] != full for v in ends):
-        if not levels:
-            return None
-        levels -= 1
         get = ball.__getitem__
         ball = [b if b == full else reduce(or_, map(get, nbrs), b) for nbrs, b in zip(adj, ball)]
         diffs = [d | ball[a] ^ ball[b] for d, (a, b) in zip(diffs, pairs)]
@@ -252,23 +248,47 @@ def _sweep_masks(g: Graph, pairs: list[tuple[int, int]], levels: int) -> list[in
     return [int.from_bytes(format(d, f"0{n}b").encode().translate(_CLEAR_BITS), "big") for d in diffs]
 
 
-def _first_masks(g: Graph, classes: list[list[int]]) -> list[int]:
+def _first_masks(g: Graph, classes: list[list[int]], large: list[list[int]]) -> list[int]:
     """The pair masks of the add loop's first classes, whose members have
-    no distance rows yet.
+    no distance rows yet; large holds the classes too large for masks.
 
-    The sweep replaces the members' rows unless they are cheaper. Its
-    balls take n bits per vertex, twice over during a level, where a row
-    takes 64 bits per vertex; and a level costs two to three BFS rows
-    (measured 1.9 to 2.7 on tree + chord graphs of 160 to 4,000
-    vertices, up to 4.8 on long trees and grids). So the sweep runs only
-    when n is at most 32 times the members, and gets half as many levels
-    as there are members. Otherwise the rows are built, one class at a
-    time, and not kept.
+    One member a's row decides between the sweep and the members' rows
+    before either runs. Every end e is within d(a, e) of a, and a within
+    ecc(a) of every vertex, so every end's ball is full within ecc(a) +
+    max d(a, e) levels. A level costs two to three BFS rows (measured
+    1.9 to 2.7 on tree + chord graphs of 160 to 4,000 vertices, up to
+    4.8 on long trees and grids), so the sweep runs only when that bound
+    is at most half the members, and a sweep that starts finishes. Its
+    balls must also fit in what the rows would hold at their peak before
+    the first pick: the masks so far plus one class's rows, class by
+    class, or all the masks plus the large classes' rows, which the
+    first count builds (int and list headers, and the sweep's diffs, an
+    eighth of the masks, left out). Otherwise the rows are built, one
+    class at a time, and not kept; a's row is not built twice.
     """
-    members = sum(map(len, classes))
-    pairs = [pair for cls in classes for pair in combinations(cls, 2)]
-    masks = _sweep_masks(g, pairs, members // 2) if g.n <= 32 * members else None
-    return _row_masks(classes, partial(bfs_distances, g)) if masks is None else masks
+    if not classes:
+        return []
+    a = classes[0][0]
+    first = bfs_distances(g, a)
+    ends = [v for cls in classes for v in cls]
+    levels = max(first) + max(map(first.__getitem__, ends))
+    sizes = list(map(len, classes))
+    held = list(accumulate(s * (s - 1) // 2 for s in sizes))
+    # In units of n bytes: a mask takes 1, a row 8, and the balls, n bits
+    # per vertex in two sets during a level, n / 4.
+    peak = max(*map(add, held, (8 * s for s in sizes)), held[-1] + 8 * sum(map(len, large)))
+    if levels <= len(ends) // 2 and g.n <= 4 * peak:
+        return _sweep_masks(g, [pair for cls in classes for pair in combinations(cls, 2)])
+    return _row_masks(classes, lambda v: first if v == a else bfs_distances(g, v))
+
+
+def _by_fit(classes: Iterable[list[int]], n: int) -> tuple[list[list[int]], list[list[int]]]:
+    """The classes kept as pair masks (_pairs_fit), and the rest."""
+    fit: list[list[int]] = []
+    large: list[list[int]] = []
+    for cls in classes:
+        (fit if _pairs_fit(len(cls), n) else large).append(cls)
+    return fit, large
 
 
 def _split(classes: Iterable[list[int]], dist: Callable[[int], int]) -> list[list[int]]:
@@ -319,7 +339,9 @@ def greedy_resolving_set(g: Graph) -> VertexSet:
     class becomes one int with byte w set where d(a, w) = d(b, w), so
     summing these ints counts every candidate's colliding pairs at once,
     and a pick w keeps the ints whose byte w is set. The first classes'
-    ints come from one sweep from every vertex at once (_first_masks).
+    ints come from one sweep from every vertex at once, or from their
+    members' rows where one member's row shows the sweep would cost
+    more (_first_masks).
     Larger classes keep their members' distance rows, since by symmetry
     row a holds d(a, w) for every candidate w, and are counted per
     candidate until picks split them; the parts that split off get their
@@ -340,20 +362,18 @@ def greedy_resolving_set(g: Graph) -> VertexSet:
         return rows[v]
 
     floor = max(1, len(chosen))
-    classes = [vs for _, vs in _collisions(g, chosen)]
-    pairs = _first_masks(g, [cls for cls in classes if _pairs_fit(len(cls), n)])
-    large = [cls for cls in classes if not _pairs_fit(len(cls), n)]
+    fit, large = _by_fit((vs for _, vs in _collisions(g, chosen)), n)
+    pairs = _first_masks(g, fit, large)
     while pairs or large:
         candidates = [v for v in range(n) if v not in chosen]
         w = _fewest_collisions(n, candidates, pairs, [[row(u) for u in cls] for cls in large])
         chosen.add(w)
         byte = 1 << 8 * w
         pairs = [m for m in pairs if m & byte]
-        classes = _split(large, lambda u: rows[u][w])
+        fit, large = _by_fit(_split(large, lambda u: rows[u][w]), n)
         # The masks replace these rows, so pop them; a member picked
         # later gets its row again for the removal pass.
-        pairs += _row_masks((cls for cls in classes if _pairs_fit(len(cls), n)), rows.pop)
-        large = [cls for cls in classes if not _pairs_fit(len(cls), n)]
+        pairs += _row_masks(fit, rows.pop)
     twins_kept = _twins_kept(part)
     return prune(chosen, lambda rest: twins_kept(rest) and _resolves(row, rest, n), floor)
 

@@ -373,20 +373,21 @@ def _rows_between_collisions_and_removal(monkeypatch, g):
     return landmarks, end - start
 
 
-def test_greedy_resolving_sweeps_the_first_classes_without_rows(monkeypatch):
-    # Every first class fits pair masks and the sweep finishes within
-    # its levels, so no member gets a distance row (a loop building the
-    # masks from rows makes 116 calls).
+def test_greedy_resolving_sweeps_the_first_classes_from_one_row(monkeypatch):
+    # Every first class fits pair masks and one member's row bounds the
+    # sweep within its levels, so that row is the only one built (a loop
+    # building the masks from rows makes 116 calls).
     g = random_tree_plus_chords(random.Random(0), 160, 80)
     expected = greedy_resolving_set_reference(g)
     landmarks, rows = _rows_between_collisions_and_removal(monkeypatch, g)
     assert landmarks == expected
-    assert rows == 0
+    assert rows == 1
 
 
-def test_greedy_resolving_builds_rows_where_the_sweep_gives_up(monkeypatch):
-    # The first classes have 8 members, so the sweep gets 4 levels; it
-    # needs more, and each member's row is built instead.
+def test_greedy_resolving_builds_rows_where_the_sweep_could_run_long(monkeypatch):
+    # The first classes have 8 members, so the sweep may take 4 levels;
+    # one member's row cannot bound it that low, and each member's row
+    # is built instead, that one's only once.
     g = random_tree_plus_chords(random.Random(2), 160, 80)
     expected = greedy_resolving_set_reference(g)
     landmarks, rows = _rows_between_collisions_and_removal(monkeypatch, g)
@@ -408,32 +409,56 @@ def test_sweep_masks_match_row_masks(shape, n, p, pair_count, seed):
     rng = random.Random(seed)
     g = random_connected_graph(rng, n, p) if shape is None else shape
     pairs = [tuple(rng.sample(range(g.n), 2)) for _ in range(pair_count)]
-    masks = graphmon.resolving._sweep_masks(g, pairs, g.n)
+    masks = graphmon.resolving._sweep_masks(g, pairs)
     assert masks == [
         int.from_bytes(bytes(map(eq, bfs_distances(g, a), bfs_distances(g, b))), "little")
         for a, b in pairs
     ]
 
 
-def test_sweep_gives_up_past_its_levels():
-    # The balls of path ends 0 and 1 hold all 40 vertices after 39 levels.
-    g = path_graph(40)
-    sweep = graphmon.resolving._sweep_masks
-    assert sweep(g, [(0, 1)], 38) is None
-    assert sweep(g, [(0, 1)], 39) == graphmon.resolving._row_masks([[0, 1]], lambda v: bfs_distances(g, v))
+def _complete(n):
+    labels = [str(v) for v in range(n)]
+    return build_graph(labels, [(a, b) for i, a in enumerate(labels) for b in labels[i + 1 :]])
+
+
+def _wheel(n):
+    """Hub 0 joined to a cycle on 1 .. n - 1."""
+    labels = [str(v) for v in range(n)]
+    rim = labels[1:]
+    return build_graph(labels, [("0", v) for v in rim] + list(zip(rim, rim[1:] + rim[:1])))
+
+
+def _first_masks_rows(monkeypatch, g, classes, large=()):
+    """The first masks of the classes, checked against their rows, and
+    the bfs_distances calls made for them."""
+    rows = count_calls(monkeypatch, graphmon.resolving, "bfs_distances")
+    masks = graphmon.resolving._first_masks(g, classes, list(large))
+    assert masks == graphmon.resolving._row_masks(classes, lambda v: bfs_distances(g, v))
+    return len(rows)
+
+
+def test_first_masks_sweep_only_within_half_the_members_levels(monkeypatch):
+    # In a complete graph, member 0's row bounds the sweep at ecc(0) +
+    # d(0, 1) = 2 levels: 3 members allow 1 level, 4 allow 2.
+    g = _complete(8)
+    assert _first_masks_rows(monkeypatch, g, [[0, 1, 2]]) == 3
+    assert _first_masks_rows(monkeypatch, g, [[0, 1], [2, 3]]) == 1
+    # Path ends 0 and 1: the bound is 39 + 1 levels, far above 1.
+    assert _first_masks_rows(monkeypatch, path_graph(40), [[0, 1]]) == 2
 
 
 def test_first_masks_build_rows_where_they_take_less_memory(monkeypatch):
-    # Two members of a complete graph: the sweep needs one level, but its
-    # balls outgrow their two rows once n > 64.
-    rows = count_calls(monkeypatch, graphmon.resolving, "bfs_distances")
-    for n, built in [(64, 0), (65, 2)]:
-        labels = [str(v) for v in range(n)]
-        g = build_graph(labels, [(a, b) for i, a in enumerate(labels) for b in labels[i + 1 :]])
-        rows.clear()
-        masks = graphmon.resolving._first_masks(g, [[0, 1]])
-        assert masks == [int.from_bytes(bytes([0, 0] + [1] * (n - 2)), "little")]
-        assert len(rows) == built
+    # From the hub of a wheel the sweep needs two levels. Row-built
+    # masks of two pairs peak at both masks and the second class's two
+    # rows, 2 + 16 n-byte units, so the balls (n / 4 units) fit up to
+    # n = 72.
+    pairs = [[0, 1], [2, 3]]
+    assert _first_masks_rows(monkeypatch, _wheel(72), pairs) == 1
+    assert _first_masks_rows(monkeypatch, _wheel(73), pairs) == 4
+    # The first count adds the rows of a large class of 18: 2 + 144.
+    large = [list(range(4, 22))]
+    assert _first_masks_rows(monkeypatch, _wheel(584), pairs, large) == 1
+    assert _first_masks_rows(monkeypatch, _wheel(585), pairs, large) == 4
 
 
 def test_pair_masks_take_classes_up_to_the_row_bound():
