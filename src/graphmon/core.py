@@ -118,7 +118,19 @@ def build_graph(labels: Sequence[str], edges: Iterable[tuple[str, str]]) -> Grap
         u, v = index[a], index[b]
         adj[u].add(v)
         adj[v].add(u)
-    return Graph(tuple(index), tuple(frozenset(s) for s in adj))
+    return Graph(tuple(index), _freeze(adj))
+
+
+def _freeze(adj: list) -> tuple[frozenset[int], ...]:
+    """Freeze each neighbour set in place and return them as a tuple.
+
+    Each set is freed as soon as its frozenset exists, so a large graph
+    never holds both copies and the garbage collector's allocation count
+    does not climb by n.
+    """
+    for v, s in enumerate(adj):
+        adj[v] = frozenset(s)
+    return tuple(adj)
 
 
 def closed_neighborhood(g: Graph, s: Iterable[int]) -> VertexSet:

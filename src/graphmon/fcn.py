@@ -14,7 +14,7 @@ are added level by level, which keeps the edge census auditable
 
 from __future__ import annotations
 
-from .core import Graph, GraphError, LimitExceeded, VertexSet
+from .core import Graph, GraphError, LimitExceeded, VertexSet, _freeze
 
 MAX_DIMENSION = 8
 
@@ -63,7 +63,7 @@ def fractal_cubic_network(d: int) -> Graph:
         for prefix in range(1 << (2 * (d - level))):
             add_cycle((prefix << (2 * level + 2)) | suffix, 2 * level)
 
-    return Graph(labels, tuple(frozenset(s) for s in adj))
+    return Graph(labels, _freeze(adj))
 
 
 def canonical_power_dominating_set(d: int) -> VertexSet:

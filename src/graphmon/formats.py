@@ -55,13 +55,15 @@ def from_edgelist_text(text: str) -> Graph:
         if len(parts) != 1:
             raise GraphError(f"bad label on line {number} {line!r}, expected one word")
         labels.append(parts[0])
-    edges = []
-    for line in lines[1 + n :]:
+    # Two flat lists, not a tuple per edge, which the collector would track.
+    heads, tails = [], []
+    for number, line in enumerate(lines[1 + n :], start=2 + n):
         parts = line.split()
         if len(parts) != 2:
-            raise GraphError(f"bad edge line {line!r}")
-        edges.append((parts[0], parts[1]))
-    return build_graph(labels, edges)
+            raise GraphError(f"bad edge on line {number} {line!r}, expected two words")
+        heads.append(parts[0])
+        tails.append(parts[1])
+    return build_graph(labels, zip(heads, tails))
 
 
 def to_json_text(g: Graph) -> str:
@@ -85,12 +87,10 @@ def from_json_text(text: str) -> Graph:
         raise GraphError("'vertices' must be an array of strings")
     if not isinstance(edges, list):
         raise GraphError("'edges' must be an array")
-    pairs = []
     for e in edges:
         if not isinstance(e, list) or len(e) != 2 or not all(isinstance(x, str) for x in e):
             raise GraphError(f"bad edge entry {e!r}, expected a 2-array of labels")
-        pairs.append((e[0], e[1]))
-    return build_graph(vertices, pairs)
+    return build_graph(vertices, edges)
 
 
 def to_dot(g: Graph) -> str:

@@ -1,8 +1,9 @@
 """Shared test utilities: seeded graph generators, an independent
 propagation engine, trace replay, the randomized property suites, and
-plain reference versions of library paths (all-pairs distances and
-diameter, the resolving check, the exact eta_p search, the greedy
-constructions with their own plain removal loops).
+plain reference versions of library paths (the graph builder, all-pairs
+distances and diameter, the resolving check, the exact eta_p search, the
+greedy constructions with their own plain removal loops), and a memory
+probe.
 
 The suites live here so the property tests and the acceptance gate can
 run the same logic on different seeds. Every suite returns a list of
@@ -12,6 +13,7 @@ violation descriptions; passing means the list is empty.
 from __future__ import annotations
 
 import random
+import tracemalloc
 from collections import Counter
 from itertools import combinations
 
@@ -179,6 +181,40 @@ def greedy_union_reference(g: Graph, union) -> frozenset[int]:
         if len(base) > 1 and is_resolving_power_dominating(g, base - {v}):
             base.discard(v)
     return frozenset(base)
+
+
+def build_graph_reference(labels, edges) -> Graph:
+    """build_graph as a plain loop: every neighbour set stays alive until
+    all of them are copied into frozensets."""
+    index: dict[str, int] = {}
+    for lab in labels:
+        if lab in index:
+            raise GraphError(f"duplicate label {lab!r}")
+        index[lab] = len(index)
+    adj: list[set[int]] = [set() for _ in index]
+    for a, b in edges:
+        if a not in index:
+            raise GraphError(f"unknown endpoint {a!r} in edge ({a!r}, {b!r})")
+        if b not in index:
+            raise GraphError(f"unknown endpoint {b!r} in edge ({a!r}, {b!r})")
+        if a == b:
+            raise GraphError(f"self-loop on {a!r}")
+        u, v = index[a], index[b]
+        adj[u].add(v)
+        adj[v].add(u)
+    return Graph(tuple(index), tuple(frozenset(s) for s in adj))
+
+
+def peak_over_retained(build) -> float:
+    """tracemalloc peak while build() runs over the size its result keeps."""
+    tracemalloc.start()
+    try:
+        result = build()  # alive while the sizes are read
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del result
+    return peak / retained
 
 
 def count_calls(monkeypatch, module, name: str) -> list:

@@ -12,6 +12,7 @@ import graphmon
 import graphmon.cli
 import graphmon.resolving
 from graphmon import (
+    canonical_power_dominating_set,
     fractal_cubic_network,
     from_edgelist_text,
     to_edgelist_text,
@@ -88,6 +89,16 @@ def test_monitor_canonical_seeds(fcn1_file):
     assert lines[-1] == "PDS: yes"
     assert sum(1 for ln in lines if ln.startswith("DOM ")) == 12
     assert sum(1 for ln in lines if ln.startswith("PROP ")) == 4
+
+
+def test_monitor_large_file(tmp_path):
+    g = fractal_cubic_network(6)
+    path = tmp_path / "fcn6.txt"
+    path.write_text(to_edgelist_text(g), encoding="utf-8")
+    seeds = ",".join(g.labels[v] for v in sorted(canonical_power_dominating_set(6)))
+    proc = run_cli("monitor", "--graph", str(path), "--seeds", seeds)
+    assert proc.returncode == 0
+    assert proc.stdout == "monitored 16384 of 16384\nPDS: yes\n"
 
 
 def test_monitor_partial(fcn1_file):
@@ -205,6 +216,14 @@ def test_exit_code_input(c4_file):
     assert bad_label.returncode == 2
     missing = run_cli("monitor", "--graph", "/nonexistent/g.txt", "--seeds", "00")
     assert missing.returncode == 2
+
+
+def test_exit_code_bad_edge_line(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("2 1\na\nb\na b c\n", encoding="utf-8")
+    proc = run_cli("monitor", "--graph", str(path), "--seeds", "a")
+    assert proc.returncode == 2
+    assert proc.stderr == "error: bad edge on line 4 'a b c', expected two words\n"
 
 
 @pytest.mark.parametrize("text", ["2 -1\na\n", "-1 1\n"])

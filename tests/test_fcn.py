@@ -14,7 +14,7 @@ from graphmon import (
     is_connected,
 )
 
-from _helpers import all_pairs_distances, neighbors_of_set, residue_classes
+from _helpers import all_pairs_distances, neighbors_of_set, peak_over_retained, residue_classes
 
 # n = 4^(d+1); m follows m(d) = 4*m(d-1) + 4 from m(0) = 4
 EXPECTED_CENSUS = [(4, 4), (16, 20), (64, 84), (256, 340), (1024, 1364), (4096, 5460)]
@@ -140,3 +140,9 @@ def test_dimension_bounds():
         canonical_power_dominating_set(9)
     with pytest.raises(GraphError):
         canonical_power_dominating_set(-1)
+
+
+def test_generating_fcn6_peaks_near_what_the_graph_keeps():
+    # Every neighbour set alive beside its frozenset peaks at 1.53 times
+    # what the graph keeps.
+    assert peak_over_retained(lambda: fractal_cubic_network(6)) <= 1.25

@@ -4,10 +4,13 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphmon import (
     GraphError,
     build_graph,
+    fractal_cubic_network,
     from_edgelist_text,
     from_json_text,
     load_graph,
@@ -17,7 +20,7 @@ from graphmon import (
     to_json_text,
 )
 
-from _helpers import random_graph
+from _helpers import build_graph_reference, peak_over_retained, random_graph
 
 C4_EDGELIST = "4 4\n00\n01\n10\n11\n00 01\n00 10\n01 11\n10 11\n"
 
@@ -92,8 +95,9 @@ def test_edgelist_rejects_wrong_counts():
 
 
 def test_edgelist_rejects_bad_edge_line():
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError) as err:
         from_edgelist_text("2 1\na\nb\na b c\n")
+    assert str(err.value) == "bad edge on line 4 'a b c', expected two words"
 
 
 def test_edgelist_rejects_unknown_endpoint():
@@ -157,3 +161,80 @@ def test_load_graph_reads_files(tmp_path, c4):
     q = tmp_path / "g.json"
     q.write_text(to_json_text(c4), encoding="utf-8")
     assert load_graph(str(q)) == c4
+
+
+def _via_edgelist(labels, edges):
+    lines = [f"{len(labels)} {len(edges)}", *labels, *(f"{a} {b}" for a, b in edges)]
+    return from_edgelist_text("\n".join(lines) + "\n")
+
+
+def _via_json(labels, edges):
+    return from_json_text(json.dumps({"vertices": labels, "edges": [list(e) for e in edges]}))
+
+
+LOADERS = (build_graph, _via_edgelist, _via_json)
+
+# Labels of at most three characters, so "unknown" names no vertex.
+UNKNOWN = "unknown"
+
+
+@st.composite
+def labels_and_edges(draw):
+    """Distinct labels and an edge list that repeats some edges, some of
+    them reversed; vertices no edge names stay isolated."""
+    labels = draw(st.lists(st.text("abxyz019_", min_size=1, max_size=3), min_size=1, max_size=14, unique=True))
+    ends = st.integers(0, len(labels) - 1)
+    pairs = []
+    if len(labels) > 1:
+        pairs = draw(st.lists(st.tuples(ends, ends).filter(lambda e: e[0] != e[1]), max_size=2 * len(labels)))
+    if pairs:
+        repeats = draw(st.lists(st.tuples(st.sampled_from(pairs), st.booleans()), max_size=len(pairs)))
+        pairs = draw(st.permutations(pairs + [(v, u) if flip else (u, v) for (u, v), flip in repeats]))
+    return labels, [(labels[u], labels[v]) for u, v in pairs]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=labels_and_edges())
+def test_loaders_match_the_reference_builder(case):
+    labels, edges = case
+    want = build_graph_reference(labels, edges)
+    for load in LOADERS:
+        g = load(labels, edges)
+        assert g == want
+        assert g.m == want.m
+        assert list(g.edges()) == list(want.edges())
+        # Same neighbour iteration order, so traces and reports keep their bytes.
+        assert [list(g.neighbors(v)) for v in range(g.n)] == [list(want.neighbors(v)) for v in range(g.n)]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=labels_and_edges(), fault=st.sampled_from(["head", "tail", "loop", "label"]), data=st.data())
+def test_loaders_report_an_injected_fault_like_the_reference(case, fault, data):
+    labels, edges = list(case[0]), list(case[1])
+    a = data.draw(st.sampled_from(labels))
+    if fault == "label":
+        labels.insert(data.draw(st.integers(0, len(labels))), a)
+        expected = f"duplicate label {a!r}"
+    else:
+        bad = {"head": (UNKNOWN, a), "tail": (a, UNKNOWN), "loop": (a, a)}[fault]
+        edges.insert(data.draw(st.integers(0, len(edges))), bad)
+        expected = f"self-loop on {a!r}" if fault == "loop" else f"unknown endpoint {UNKNOWN!r} in edge {bad!r}"
+    with pytest.raises(GraphError) as want:
+        build_graph_reference(labels, edges)
+    assert str(want.value) == expected
+    for load in LOADERS:
+        with pytest.raises(GraphError) as got:
+            load(labels, edges)
+        assert str(got.value) == expected
+
+
+@pytest.mark.parametrize(
+    "write,read",
+    [(to_edgelist_text, from_edgelist_text), (to_json_text, from_json_text)],
+    ids=["edgelist", "json"],
+)
+def test_loading_fcn6_peaks_near_what_the_graph_keeps(write, read):
+    # A tuple per edge plus every neighbour set alive beside its frozenset
+    # peaks at 2.65 times what the graph keeps.
+    text = write(fractal_cubic_network(6))
+    assert peak_over_retained(lambda: read(text)) <= 2.2
