@@ -140,13 +140,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         g = fractal_cubic_network(args.dim)
     else:
         g = load_graph(args.graph)
-    report = build_report(
-        g,
-        checks=checks,
-        exact_limit=args.exact_limit,
-        hint=hint,
-        hint_method="canonical-certificate",
-    )
+    report = build_report(g, checks=checks, exact_limit=args.exact_limit, hint=hint)
     text = report_to_json(report)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")

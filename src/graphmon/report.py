@@ -52,16 +52,16 @@ def build_report(
     exact_limit: int = EXACT_LIMIT,
     hint: Iterable[int] | None = None,
     timestamp: str | None = None,
-    hint_method: str = "hint-certificate",
 ) -> dict:
     """Assemble the analysis report for the requested checks.
 
     exact_limit caps exhaustive searches by vertex count; the combined
     resolving-and-monitoring search uses at most ETA_P_EXACT_LIMIT
     regardless, since its space grows the fastest. The hint is tried as
-    the upper certificate of every bounded section, and a section it
-    certifies is tagged hint_method. Passing a fixed timestamp makes the
-    output byte-reproducible.
+    the upper certificate of gamma_p and dim, and a section it certifies
+    is tagged hint-certificate; eta_p prunes the union of their
+    certificates. Passing a fixed timestamp makes the output
+    byte-reproducible.
     """
     wanted = list(checks)
     unknown = sorted(set(wanted) - set(KNOWN_CHECKS))
@@ -70,13 +70,12 @@ def build_report(
 
     def section(b: Bounds, key: str) -> dict:
         field = SECTIONS[key][0]
-        tag = hint_method if b.upper_method == "hint-certificate" else b.upper_method
         out = {
             "lower": b.lower,
             "upper": b.upper,
             field: [g.labels[v] for v in sorted(b.certificate)],
             "lower_method": b.lower_method,
-            "upper_method": tag,
+            "upper_method": b.upper_method,
         }
         # The dim section, which names its certificate "basis", has no search count.
         if field == "certificate":

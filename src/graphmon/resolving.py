@@ -418,10 +418,9 @@ def resolving_power_domination_bounds(
     metric_dimension_bounds return for this graph and hint. A resolving
     power dominating set is both, so the larger of their lower bounds is
     the lower bound here. Small graphs are solved exactly by searching
-    subset sizes upward from it. Larger ones get the hint when both
-    sections were certified by it; otherwise the union of the two
+    subset sizes upward from it. Larger ones get the union of the two
     certificates, which resolves and monitors, pruned no further than
-    the lower bound.
+    the lower bound; a shared hint is pruned like any other union.
     """
     _require_connected(g, "resolving power domination")
     n = g.n
@@ -437,15 +436,14 @@ def resolving_power_domination_bounds(
         k = len(best)
         return Bounds(k, k, frozenset(best), "exact-search", "exact-search", examined)
 
-    both_hint = power.upper_method == resolving.upper_method == "hint-certificate"
-    if both_hint and power.certificate == resolving.certificate:
-        return Bounds(lower, power.upper, power.certificate, "sandwich-lower", "hint-certificate")
     base = resolving.certificate | power.certificate
     row = cache(lambda v: bfs_distances(g, v))
-    twins_kept = _twins_kept(twin_partition(g))
+    # Built on prune's first question: a union already at the lower bound
+    # asks none, so it costs no partition.
+    twins_kept = cache(lambda: _twins_kept(twin_partition(g)))
     cert = prune(
         base,
-        lambda rest: twins_kept(rest) and is_power_dominating_set(g, rest) and _resolves(row, rest, n),
+        lambda rest: twins_kept()(rest) and is_power_dominating_set(g, rest) and _resolves(row, rest, n),
         lower,
     )
     return Bounds(lower, len(cert), cert, "sandwich-lower", "greedy-union")

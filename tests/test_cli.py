@@ -17,7 +17,9 @@ from graphmon import (
     from_edgelist_text,
     to_edgelist_text,
     to_json_text,
+    verify_report,
 )
+from graphmon.report import SECTIONS
 
 C4_EDGELIST = "4 4\n00\n01\n10\n11\n00 01\n00 10\n01 11\n10 11\n"
 # The command runs the same graphmon these tests import, even when only
@@ -126,16 +128,21 @@ def test_analyze_generated_network(tmp_path):
     assert report["eta_p"]["lower"] == report["eta_p"]["upper"] == 4
 
 
-def test_analyze_uses_canonical_tag():
-    proc = run_cli("analyze", "--dim", "2", "--checks", "gamma-p,dim")
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_analyze_dim_certifies_the_canonical_set(d):
+    # The report explains itself without a tag of its own: every section's
+    # certificate is the paper's set, and the report verifies. FCN(1) is
+    # small enough to be solved exactly, with other optimal sets, unless
+    # the exact search is turned off; FCN(2) and up are not.
+    proc = run_cli("analyze", "--dim", str(d), "--exact-limit", "0")
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
-    assert report["gamma_p"]["lower"] == report["gamma_p"]["upper"] == 16
-    assert report["gamma_p"]["lower_method"] == "lemma2-lower"
-    assert report["gamma_p"]["upper_method"] == "canonical-certificate"
-    assert report["dim"]["lower"] == report["dim"]["upper"] == 16
-    assert report["dim"]["upper_method"] == "canonical-certificate"
-    assert "eta_p" not in report
+    g = fractal_cubic_network(d)
+    canonical = [g.labels[v] for v in sorted(canonical_power_dominating_set(d))]
+    for key, (field, _) in SECTIONS.items():
+        assert report[key]["lower"] == report[key]["upper"] == 4**d
+        assert report[key][field] == canonical
+    assert verify_report(g, report) == []
 
 
 def test_analyze_twins_only(c4_file):

@@ -6,12 +6,14 @@ need through the used API or through ``tests/_helpers.py`` instead.
 
 The package also enforces no invariant with a bare ``assert``: ``python -O``
 strips those, so the check would silently vanish. And it parses as Python
-3.10, the oldest version pyproject.toml accepts.
+3.10, the oldest version pyproject.toml accepts, importing nothing from
+outside graphmon and the standard library.
 """
 
 from __future__ import annotations
 
 import ast
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -80,11 +82,47 @@ def test_bare_assert_scan_flags_an_assert(tmp_path):
     assert bare_asserts([planted]) == ["planted.py:2"]
 
 
+def foreign_imports(paths) -> list[str]:
+    """``file:line name`` of every absolute import in the given files whose
+    top-level package is neither graphmon nor in Python 3.10's standard
+    library. Each file must parse as Python 3.10."""
+    # sys.stdlib_module_names is the running interpreter's; tomllib came in 3.11.
+    allowed = (sys.stdlib_module_names - {"tomllib"}) | {"graphmon"}
+    found = []
+    for path in paths:
+        tree = ast.parse(path.read_text(), str(path), feature_version=(3, 10))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [
+                f"{path.name}:{node.lineno} {name}" for name in names if name.split(".")[0] not in allowed
+            ]
+    return found
+
+
 def test_package_parses_as_python_3_10():
-    # pyproject.toml promises requires-python >= 3.10; newer syntax would
-    # break that promise without failing on a newer interpreter.
-    for path in sorted(PACKAGE.glob("*.py")):
-        ast.parse(path.read_text(), str(path), feature_version=(3, 10))
+    # pyproject.toml promises requires-python >= 3.10 and no dependencies;
+    # newer syntax or a third-party import would break that promise without
+    # failing on a newer interpreter that happens to have the package.
+    assert foreign_imports(sorted(PACKAGE.glob("*.py"))) == []
+
+
+def test_foreign_import_scan_flags_a_dependency(tmp_path):
+    planted = tmp_path / "planted.py"
+    planted.write_text("import json\nfrom . import core\nimport numpy.linalg\nfrom tomllib import loads\n")
+    assert foreign_imports([planted]) == ["planted.py:3 numpy.linalg", "planted.py:4 tomllib"]
+
+
+def test_foreign_import_scan_rejects_newer_syntax(tmp_path):
+    planted = tmp_path / "planted.py"
+    # Exception groups parse from Python 3.11 on, but not as 3.10.
+    planted.write_text("try:\n    pass\nexcept* ValueError:\n    pass\n")
+    with pytest.raises(SyntaxError):
+        foreign_imports([planted])
 
 
 def test_version_has_one_source():

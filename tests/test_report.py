@@ -20,6 +20,7 @@ from graphmon import (
 import graphmon.powerdom
 import graphmon.report
 import graphmon.resolving
+import graphmon.twins
 from graphmon.version import VERSION
 
 from _helpers import count_calls
@@ -87,18 +88,6 @@ def test_fcn2_report_tags(fcn2):
     assert verify_report(fcn2, report) == []
 
 
-def test_hint_method_names_the_hint(fcn2):
-    from graphmon import canonical_power_dominating_set
-
-    hint = canonical_power_dominating_set(2)
-    tagged = build_report(fcn2, hint=hint, timestamp=STAMP, hint_method="canonical-certificate")
-    plain = build_report(fcn2, hint=hint, timestamp=STAMP)
-    for key in ("gamma_p", "dim", "eta_p"):
-        assert tagged[key]["upper_method"] == "canonical-certificate"
-        plain[key]["upper_method"] = "canonical-certificate"
-    assert tagged == plain
-
-
 @pytest.mark.parametrize("graph", ["c4", "fcn2"])
 def test_power_domination_bounds_computed_once(graph, request, monkeypatch):
     g = request.getfixturevalue(graph)
@@ -148,10 +137,21 @@ def test_hint_checked_once_per_kind(fcn2, monkeypatch):
     resolving_checks = count_calls(monkeypatch, graphmon.resolving, "is_resolving_set")
     power_checks = count_calls(monkeypatch, graphmon.powerdom, "is_power_dominating_set")
     power_checks_here = count_calls(monkeypatch, graphmon.resolving, "is_power_dominating_set")
+    # One partition each for the gamma_p bound, the dim bound and the twin
+    # census; the eta_p union is already at its lower bound, so it asks for none.
+    partitions = [
+        count_calls(monkeypatch, module, "twin_partition")
+        for module in (graphmon.powerdom, graphmon.resolving, graphmon.twins)
+    ]
     report = build_report(fcn2, hint=canonical_power_dominating_set(2), timestamp=STAMP)
-    assert {report[k]["upper_method"] for k in ("gamma_p", "dim", "eta_p")} == {"hint-certificate"}
+    assert [report[k]["upper_method"] for k in ("gamma_p", "dim", "eta_p")] == [
+        "hint-certificate",
+        "hint-certificate",
+        "greedy-union",
+    ]
     assert len(resolving_checks) == 1
     assert len(power_checks) + len(power_checks_here) == 1
+    assert sum(map(len, partitions)) == 3
 
 
 def test_eta_p_alone_computes_the_dim_bounds_once(c4, monkeypatch):

@@ -40,7 +40,6 @@ def _fcn2_canonical():
     return build_report(
         fractal_cubic_network(2),
         hint=canonical_power_dominating_set(2),
-        hint_method="canonical-certificate",
         timestamp=STAMP,
     )
 
@@ -87,5 +86,5 @@ def test_golden_reports_cover_every_upper_method():
         "greedy",
         "greedy-union",
         "componentwise",
-        "canonical-certificate",
+        "hint-certificate",
     }

@@ -529,8 +529,6 @@ def test_greedy_union_matches_naive_pruning():
         resolving = metric_dimension_bounds(g, exact_limit=0, hint=hint)
         b = resolving_power_domination_bounds(g, power, resolving, exact_limit=0)
         assert b.lower == max(power.lower, resolving.lower)
-        if b.upper_method == "hint-certificate":
-            continue
         assert b.upper_method == "greedy-union"
         assert resolving.certificate == greedy_resolving_set_reference(g)
         union = resolving.certificate | power.certificate
@@ -573,7 +571,7 @@ def test_eta_bounds_fcn2_with_hint(fcn2):
     assert (b.lower, b.upper) == (16, 16)
     assert b.certificate == hint
     assert b.lower_method == "sandwich-lower"
-    assert b.upper_method == "hint-certificate"
+    assert b.upper_method == "greedy-union"
 
 
 def test_eta_bounds_fcn2_without_hint(fcn2):
@@ -596,9 +594,11 @@ def test_eta_bounds_take_a_shared_hint_unchecked(fcn2, monkeypatch):
 
     monkeypatch.setattr(graphmon.resolving, "is_resolving_set", unexpected)
     monkeypatch.setattr(graphmon.resolving, "is_power_dominating_set", unexpected)
+    # The union is already at the lower bound, so not even the twin check runs.
+    monkeypatch.setattr(graphmon.resolving, "twin_partition", unexpected)
     b = resolving_power_domination_bounds(fcn2, power, resolving)
     assert (b.lower, b.upper, b.certificate) == (16, 16, hint)
-    assert b.upper_method == "hint-certificate"
+    assert b.upper_method == "greedy-union"
 
 
 def test_eta_bounds_prune_two_different_hint_certificates(fcn2):
@@ -610,6 +610,18 @@ def test_eta_bounds_prune_two_different_hint_certificates(fcn2):
     b = resolving_power_domination_bounds(fcn2, power, resolving)
     assert b.upper_method == "greedy-union"
     assert b.certificate == greedy_union_reference(fcn2, hint | {extra})
+    assert b.upper == 16
+
+
+def test_eta_bounds_prune_a_shared_hint_above_the_lower_bound(fcn2):
+    canonical = canonical_power_dominating_set(2)
+    hint = canonical | {min(set(range(fcn2.n)) - canonical)}
+    power = power_domination_bounds(fcn2, hint=hint)
+    resolving = metric_dimension_bounds(fcn2, hint=hint)
+    assert power.certificate == resolving.certificate == hint
+    b = resolving_power_domination_bounds(fcn2, power, resolving)
+    assert b.upper_method == "greedy-union"
+    assert b.certificate == greedy_union_reference(fcn2, hint)
     assert b.upper == 16
 
 
