@@ -180,7 +180,7 @@ def components(g: Graph) -> list[list[int]]:
 
 
 def is_connected(g: Graph) -> bool:
-    return g.n <= 1 or len(components(g)) == 1
+    return len(components(g)) <= 1
 
 
 def _farthest(dist: list[int]) -> int:

@@ -228,8 +228,7 @@ def greedy_power_dominating_set(g: Graph) -> VertexSet:
         best_v = max(candidates, key=gain)
         seeds.add(best_v)
         reached += len(_force(adj, monitored, unmon, (best_v, *adj[best_v])))
-    floor = max(1, twin_lower_bound(g).bound)
-    return prune(seeds, lambda rest: is_power_dominating_set(g, rest), floor)
+    return prune(seeds, lambda rest: is_power_dominating_set(g, rest), twin_lower_bound(g).bound)
 
 
 def power_domination_bounds(
@@ -246,9 +245,7 @@ def power_domination_bounds(
     greedy construction otherwise). Disconnected graphs are handled per
     component and summed.
     """
-    if g.n == 0:
-        return Bounds(0, 0, frozenset(), "exact-oracle", "exact-oracle")
-
+    hint_set = None if hint is None else g.check_vertex_set(hint)
     comps = components(g)
     if len(comps) > 1:
         lower = upper = 0
@@ -267,12 +264,11 @@ def power_domination_bounds(
         return Bounds(k, k, frozenset(best), "exact-oracle", "exact-oracle", examined)
 
     tlb = twin_lower_bound(g)
-    lower = max(1, tlb.bound)
+    # Every vertex set monitors the empty graph; any other needs a vertex.
+    lower = max(min(1, g.n), tlb.bound)
     lower_method = "lemma2-lower" if tlb.bound >= 1 else "trivial-lower"
-    if hint is not None:
-        hint_set = g.check_vertex_set(hint)
-        if is_power_dominating_set(g, hint_set):
-            return Bounds(lower, len(hint_set), hint_set, lower_method, "hint-certificate")
+    if hint_set is not None and is_power_dominating_set(g, hint_set):
+        return Bounds(lower, len(hint_set), hint_set, lower_method, "hint-certificate")
     cert = greedy_power_dominating_set(g)
     return Bounds(lower, len(cert), cert, lower_method, "greedy")
 

@@ -206,7 +206,7 @@ def verify_report(g: Graph, report: object) -> list[str]:
                 forced = twin_resolving_lower_bound(g)
             else:
                 forced = sum(len(c) - 1 for c in classes)
-            cap, source = max(1, forced), "the twin bound"
+            cap, source = max(min(1, g.n - 1), forced), "the twin bound"
         elif key == "eta_p" and section.get("lower_method") == "sandwich-lower":
             sides = [report.get("gamma_p"), report.get("dim")]
             if all(isinstance(side, dict) and type(side.get("lower")) is int for side in sides):

@@ -361,7 +361,7 @@ def greedy_resolving_set(g: Graph) -> VertexSet:
             rows[v] = bfs_distances(g, v)
         return rows[v]
 
-    floor = max(1, len(chosen))
+    floor = len(chosen)
     fit, large = _by_fit((vs for _, vs in _collisions(g, chosen)), n)
     pairs = _first_masks(g, fit, large)
     while pairs or large:
@@ -385,16 +385,16 @@ def metric_dimension_bounds(
     bound and a verified upper certificate (the hint when it resolves, the
     greedy construction otherwise). The certificate is the basis."""
     _require_connected(g, "metric dimension")
+    hint_set = None if hint is None else g.check_vertex_set(hint)
     if g.n <= exact_limit:
         value, basis = metric_dimension(g, limit=exact_limit)
         return Bounds(value, value, frozenset(basis), "exact-search", "exact-search")
     twin_lb = twin_resolving_lower_bound(g)
-    lower = max(1, twin_lb)
+    # The empty set resolves a graph of at most one vertex; any larger one needs a landmark.
+    lower = max(min(1, g.n - 1), twin_lb)
     method = "twin-lower" if twin_lb >= 1 else "trivial-lower"
-    if hint is not None:
-        hint_set = g.check_vertex_set(hint)
-        if is_resolving_set(g, hint_set)[0]:
-            return Bounds(lower, len(hint_set), hint_set, method, "hint-certificate")
+    if hint_set is not None and is_resolving_set(g, hint_set)[0]:
+        return Bounds(lower, len(hint_set), hint_set, method, "hint-certificate")
     basis = greedy_resolving_set(g)
     return Bounds(lower, len(basis), basis, method, "greedy")
 
@@ -424,8 +424,6 @@ def resolving_power_domination_bounds(
     """
     _require_connected(g, "resolving power domination")
     n = g.n
-    if n == 0:
-        return Bounds(0, 0, frozenset(), "exact-search", "exact-search")
     lower = max(power.lower, resolving.lower)
 
     if n <= exact_limit:

@@ -145,6 +145,22 @@ def test_analyze_dim_certifies_the_canonical_set(d):
     assert verify_report(g, report) == []
 
 
+@pytest.mark.parametrize(
+    ("text", "limit"),
+    [("1 0\na\n", "0"), ("1 0\na\n", "-1"), ("0 0\n", "-1")],
+    ids=["K1 at 0", "K1 at -1", "empty at -1"],
+)
+def test_analyze_degenerate_graph_below_the_exact_limit(tmp_path, text, limit):
+    path = tmp_path / "tiny.txt"
+    path.write_text(text, encoding="utf-8")
+    proc = run_cli("analyze", "--graph", str(path), "--exact-limit", limit)
+    assert proc.returncode == 0
+    report = json.loads(proc.stdout)
+    dim = report["dim"]
+    assert (dim["lower"], dim["upper"], dim["lower_method"]) == (0, 0, "trivial-lower")
+    assert verify_report(from_edgelist_text(text), report) == []
+
+
 def test_analyze_twins_only(c4_file):
     proc = run_cli("analyze", "--graph", c4_file, "--checks", "twins")
     assert proc.returncode == 0

@@ -1,0 +1,68 @@
+"""The CLI and the report check under every pyenv-installed CPython that
+pyproject.toml's requires-python admits; skipped where pyenv or such an
+interpreter is absent."""
+
+from __future__ import annotations
+
+import json
+import os
+import re
+import shutil
+import subprocess
+from pathlib import Path
+
+import pytest
+
+import graphmon
+
+SRC = Path(graphmon.__file__).resolve().parent.parent
+PYPROJECT = SRC.parent / "pyproject.toml"
+
+VERIFY = """
+import json, sys
+from graphmon import fractal_cubic_network, verify_report
+print(json.dumps(verify_report(fractal_cubic_network(2), json.load(sys.stdin))))
+"""
+
+
+def _floor() -> tuple[int, int]:
+    found = re.search(r'requires-python\s*=\s*">=\s*(\d+)\.(\d+)', PYPROJECT.read_text(encoding="utf-8"))
+    assert found, "pyproject.toml states no requires-python floor"
+    return int(found[1]), int(found[2])
+
+
+def _interpreters() -> list[tuple[str, Path]]:
+    """Each pyenv version at or above the floor, with its python."""
+    pyenv = shutil.which("pyenv")
+    if pyenv is None:
+        return []
+    run = lambda *args: subprocess.run([pyenv, *args], capture_output=True, text=True, timeout=30)
+    root = Path(run("root").stdout.strip())
+    floor = _floor()
+    found = []
+    for version in run("versions", "--bare").stdout.split():
+        parts = re.fullmatch(r"(\d+)\.(\d+)\.\d+", version)
+        python = root / "versions" / version / "bin" / "python"
+        if parts and (int(parts[1]), int(parts[2])) >= floor and python.is_file():
+            found.append((version, python))
+    return found
+
+
+def test_cli_and_verify_under_every_supported_python():
+    interpreters = _interpreters()
+    if not interpreters:
+        pytest.skip("no pyenv interpreter at or above requires-python")
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    for version, python in interpreters:
+        run = lambda *args, stdin=None: subprocess.run(
+            [str(python), *args], input=stdin, capture_output=True, text=True, timeout=120, env=env
+        )
+        proc = run("-m", "graphmon", "analyze", "--dim", "2")
+        assert proc.returncode == 0, (version, proc.stderr)
+        report = json.loads(proc.stdout)
+        assert [(report[k]["lower"], report[k]["upper"]) for k in ("gamma_p", "dim", "eta_p")] == [
+            (16, 16)
+        ] * 3, version
+        check = run("-c", VERIFY, stdin=proc.stdout)
+        assert check.returncode == 0, (version, check.stderr)
+        assert json.loads(check.stdout) == [], version

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import functools
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,8 @@ from graphmon import (
     build_report,
     canonical_power_dominating_set,
     fractal_cubic_network,
+    is_connected,
+    power_domination_bounds,
     report_to_json,
     verify_report,
 )
@@ -21,9 +24,11 @@ import graphmon.powerdom
 import graphmon.report
 import graphmon.resolving
 import graphmon.twins
+from graphmon.core import EXACT_LIMIT
+from graphmon.report import KNOWN_CHECKS
 from graphmon.version import VERSION
 
-from _helpers import count_calls
+from _helpers import count_calls, random_connected_graph, random_graph, with_planted_twins
 
 STAMP = "2026-01-01T00:00:00+00:00"
 
@@ -154,6 +159,21 @@ def test_hint_checked_once_per_kind(fcn2, monkeypatch):
     assert sum(map(len, partitions)) == 3
 
 
+@pytest.mark.parametrize("hint", [[99], ["0001"]], ids=["out of range", "a label"])
+@pytest.mark.parametrize("checks", [["gamma_p"], ["dim"]], ids=["gamma_p", "dim"])
+@pytest.mark.parametrize("exact_limit", [EXACT_LIMIT, 0], ids=["exact", "bounds"])
+def test_hint_validated_on_every_path(fcn1, hint, checks, exact_limit):
+    with pytest.raises(GraphError, match="out of range"):
+        build_report(fcn1, checks=checks, exact_limit=exact_limit, hint=hint)
+
+
+@pytest.mark.parametrize("hint", [[99], ["a"]], ids=["out of range", "a label"])
+def test_hint_validated_on_a_disconnected_graph(hint):
+    g = build_graph(["a", "b", "c", "d"], [("a", "b"), ("c", "d")])
+    with pytest.raises(GraphError, match="out of range"):
+        power_domination_bounds(g, exact_limit=0, hint=hint)
+
+
 def test_eta_p_alone_computes_the_dim_bounds_once(c4, monkeypatch):
     calls = count_calls(monkeypatch, graphmon.report, "metric_dimension_bounds")
     report = build_report(c4, checks=["eta_p"], timestamp=STAMP)
@@ -264,6 +284,16 @@ def test_verify_flags_dim_lower_above_the_twin_bound(fcn2, checks, tag):
     bad = _grown(report, "dim", extra)
     bad["dim"]["lower_method"] = tag
     assert verify_report(fcn2, bad) == ["dim: lower 17 exceeds the twin bound 16"]
+
+
+@pytest.mark.parametrize("checks", [["twins", "dim"], ["dim"]])
+def test_verify_flags_a_forged_trivial_floor(checks):
+    # The empty set resolves K1, so no floor lifts its dim above 0.
+    k1 = build_graph(["v"], [])
+    report = build_report(k1, checks=checks, timestamp=STAMP)
+    assert (report["dim"]["lower"], report["dim"]["upper"]) == (0, 0)
+    report["dim"].update(lower=1, upper=1, basis=["v"], lower_method="trivial-lower")
+    assert verify_report(k1, report) == ["dim: lower 1 exceeds the twin bound 0"]
 
 
 def test_verify_flags_eta_p_lower_above_the_sandwich(fcn2):
@@ -394,6 +424,37 @@ def test_clean_reports_verify_after_a_json_round_trip(c4, fcn2):
     for g, report in cases:
         assert verify_report(g, report) == []
         assert verify_report(g, json.loads(report_to_json(report))) == []
+
+
+def _sweep_graphs():
+    """The degenerate graphs, then random ones with n = 1..14, connected
+    and not, every fourth with planted twins."""
+    yield build_graph([], [])
+    yield build_graph(["v"], [])
+    yield build_graph(["v", "w"], [("v", "w")])
+    yield build_graph(["v", "w"], [])
+    yield build_graph(["a", "b", "c"], [("a", "b"), ("b", "c")])
+    yield build_graph(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")])
+    rng = random.Random(5)
+    for i in range(400):
+        n = rng.randint(1, 14)
+        copies = rng.randint(1, min(3, n - 1)) if i % 4 == 0 and n > 1 else 0
+        make = random_connected_graph if rng.random() < 0.5 else random_graph
+        g = make(rng, n - copies, rng.uniform(0.1, 0.6))
+        yield with_planted_twins(rng, g, copies)
+
+
+def test_reports_verify_at_every_exact_limit():
+    # From below zero up to each graph's size, the bounds and the exact
+    # paths both write reports that verify_report proves.
+    problems = []
+    for g in _sweep_graphs():
+        checks = KNOWN_CHECKS if is_connected(g) else ["twins", "gamma_p"]
+        for limit in sorted({-1, 0, 1, 2, g.n // 2, g.n}):
+            report = build_report(g, checks=checks, exact_limit=limit, timestamp=STAMP)
+            found = verify_report(g, json.loads(report_to_json(report)))
+            problems += [f"{g!r} {list(g.edges())} at exact_limit={limit}: {p}" for p in found]
+    assert problems == []
 
 
 @functools.cache

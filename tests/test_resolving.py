@@ -65,7 +65,8 @@ NOTHING = Bounds(0, 0, frozenset(), "exact-search", "exact-search")
 TINY_ANSWERS = {
     "empty": (
         (True, None), (True, None), frozenset(), frozenset(),
-        TwinClassBound(0, (), "exact"), NOTHING, NOTHING,
+        TwinClassBound(0, (), "exact"), NOTHING,
+        Bounds(0, 0, frozenset(), "exact-search", "exact-search", 1),
     ),
     "K1": (
         (True, None), (True, None), frozenset(), frozenset({0}),
