@@ -11,6 +11,9 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 VertexSet = frozenset[int]
 
+# One tuple of neighbour ids per vertex, each in ascending order.
+Adjacency = tuple[tuple[int, ...], ...]
+
 UNREACHABLE = -1
 
 # Vertex cap for every exhaustive search unless a caller passes its own.
@@ -29,17 +32,20 @@ class Graph:
     """Undirected simple graph with dense integer vertex ids.
 
     Ids run 0..n-1 in label insertion order; labels are distinct and only
-    appear at I/O boundaries. Adjacency is stored as one frozenset per
-    vertex, so instances are safe to share across workers once built.
+    appear at I/O boundaries. Each neighbourhood is stored as a tuple of
+    ids in ascending order, so neighbours are visited in id order and
+    instances are safe to share across workers once built. The label
+    index is built on the first index() call unless a builder hands over
+    the one it already has.
     """
 
     __slots__ = ("_labels", "_adj", "_index", "_m")
 
-    def __init__(self, labels: tuple[str, ...], adj: tuple[frozenset[int], ...]):
+    def __init__(self, labels: tuple[str, ...], adj: Adjacency):
         self._labels = labels
         self._adj = adj
-        self._index = {lab: i for i, lab in enumerate(labels)}
-        self._m = sum(len(s) for s in adj) // 2
+        self._index: dict[str, int] | None = None
+        self._m = sum(map(len, adj)) // 2
 
     @property
     def n(self) -> int:
@@ -55,7 +61,7 @@ class Graph:
 
     def neighbors(self, v: int) -> frozenset[int]:
         self.check_vertex(v)
-        return self._adj[v]
+        return frozenset(self._adj[v])
 
     def degree(self, v: int) -> int:
         self.check_vertex(v)
@@ -63,12 +69,14 @@ class Graph:
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield each edge once as (u, v) with u < v, in ascending order."""
-        for u in range(self.n):
-            for v in sorted(self._adj[u]):
+        for u, nbrs in enumerate(self._adj):
+            for v in nbrs:
                 if u < v:
                     yield (u, v)
 
     def index(self, label: str) -> int:
+        if self._index is None:
+            self._index = {lab: i for i, lab in enumerate(self._labels)}
         try:
             return self._index[label]
         except KeyError:
@@ -118,18 +126,21 @@ def build_graph(labels: Sequence[str], edges: Iterable[tuple[str, str]]) -> Grap
         u, v = index[a], index[b]
         adj[u].add(v)
         adj[v].add(u)
-    return Graph(tuple(index), _freeze(adj))
+    g = Graph(tuple(index), _freeze(adj))
+    g._index = index
+    return g
 
 
-def _freeze(adj: list) -> tuple[frozenset[int], ...]:
-    """Freeze each neighbour set in place and return them as a tuple.
+def _freeze(adj: list) -> Adjacency:
+    """Replace each neighbour collection in place by a sorted tuple and
+    return them as a tuple.
 
-    Each set is freed as soon as its frozenset exists, so a large graph
-    never holds both copies and the garbage collector's allocation count
-    does not climb by n.
+    Each collection is freed as soon as its tuple exists, so a large
+    graph never holds both copies and the garbage collector's allocation
+    count does not climb by n.
     """
     for v, s in enumerate(adj):
-        adj[v] = frozenset(s)
+        adj[v] = tuple(sorted(s))
     return tuple(adj)
 
 
@@ -138,7 +149,7 @@ def closed_neighborhood(g: Graph, s: Iterable[int]) -> VertexSet:
     members = g.check_vertex_set(s)
     out = set(members)
     for v in members:
-        out |= g._adj[v]
+        out.update(g._adj[v])
     return frozenset(out)
 
 
@@ -230,7 +241,8 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, list[int
     old_ids = sorted(g.check_vertex_set(vertices))
     rank = {old: new for new, old in enumerate(old_ids)}
     labels = tuple(g.labels[v] for v in old_ids)
-    adj = tuple(frozenset(rank[u] for u in g._adj[v] if u in rank) for v in old_ids)
+    # rank keeps the id order, so each neighbourhood stays ascending.
+    adj = tuple(tuple(rank[u] for u in g._adj[v] if u in rank) for v in old_ids)
     return Graph(labels, adj), old_ids
 
 

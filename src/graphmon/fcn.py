@@ -45,15 +45,20 @@ def fractal_cubic_network(d: int) -> Graph:
     width = 2 * d + 2
     n = vertex_count(d)
     labels = tuple(format(v, f"0{width}b") for v in range(n))
-    adj: list[set[int]] = [set() for _ in range(n)]
+    # Each edge's ends differ in one bit pair, which names its level, and
+    # no cycle is laid down twice, so no edge repeats and plain lists
+    # suffice. Appending ids[v] rather than v keeps one int object per id
+    # however many lists hold it.
+    ids = list(range(n))
+    adj: list[list[int]] = [[] for _ in ids]
 
     def add_cycle(base: int, shift: int) -> None:
         # 4-cycle on base | (pattern << shift) over the two-bit patterns
         for a, b in _CYCLE:
             u = base | (a << shift)
             v = base | (b << shift)
-            adj[u].add(v)
-            adj[v].add(u)
+            adj[u].append(ids[v])
+            adj[v].append(ids[u])
 
     for prefix in range(n >> 2):
         add_cycle(prefix << 2, 0)

@@ -22,10 +22,12 @@ neighborhood by one grow-and-undo.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, islice
 from typing import Iterable, NamedTuple
 
 from .core import (
     EXACT_LIMIT,
+    Adjacency,
     Bounds,
     Graph,
     VertexSet,
@@ -95,7 +97,7 @@ def monitoring_closure(g: Graph, seeds: Iterable[int]) -> PropagationTrace:
 
 
 def _force(
-    adj: tuple[frozenset[int], ...], monitored: bytearray, unmon: list[int], start: Iterable[int]
+    adj: Adjacency, monitored: bytearray, unmon: list[int], start: Iterable[int]
 ) -> list[int]:
     """Monitor start and force to the new fixpoint; return the vertices
     this monitored. monitored and unmon (each vertex's count of
@@ -127,7 +129,7 @@ def _force(
 
 
 def _unforce(
-    adj: tuple[frozenset[int], ...], monitored: bytearray, unmon: list[int], added: list[int]
+    adj: Adjacency, monitored: bytearray, unmon: list[int], added: list[int]
 ) -> None:
     """Undo the _force call that returned added."""
     for w in added:
@@ -274,11 +276,21 @@ def power_domination_bounds(
 
 
 def trace_to_text(g: Graph, trace: PropagationTrace) -> str:
-    """Line format: DOM lines in id order, then PROP y FROM x STEP t lines."""
-    lines = [f"DOM {g.labels[v]}" for v in trace.dominated]
-    lines.extend(
-        f"PROP {g.labels[p.vertex]} FROM {g.labels[p.source]} STEP {p.step}"
-        for p in trace.propagated
+    """Line format: DOM lines in id order, then PROP y FROM x STEP t lines.
+
+    Lines are joined 4,096 at a time, so no more than one chunk's line
+    strings are alive beside the text.
+    """
+    labels = g.labels
+    lines = chain(
+        (f"DOM {labels[v]}" for v in trace.dominated),
+        (
+            f"PROP {labels[p.vertex]} FROM {labels[p.source]} STEP {p.step}"
+            for p in trace.propagated
+        ),
     )
-    return "\n".join(lines) + ("\n" if lines else "")
+    chunks = []
+    while chunk := list(islice(lines, 4096)):
+        chunks.append("\n".join(chunk) + "\n")
+    return "".join(chunks)
 

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
-from .core import Graph, VertexSet
+from .core import Adjacency, Graph, VertexSet
 
 
 @dataclass(frozen=True)
@@ -15,8 +17,8 @@ class TwinPartition:
     closed_classes: tuple[VertexSet, ...]
 
 
-def _group_by_neighborhood(keys: list[frozenset[int]]) -> tuple[VertexSet, ...]:
-    buckets: dict[frozenset[int], list[int]] = {}
+def _group_by_neighborhood(keys: Iterable[tuple[int, ...]]) -> tuple[VertexSet, ...]:
+    buckets: dict[tuple[int, ...], list[int]] = {}
     for v, key in enumerate(keys):
         buckets.setdefault(key, []).append(v)
     classes = [frozenset(vs) for vs in buckets.values() if len(vs) >= 2]
@@ -24,15 +26,22 @@ def _group_by_neighborhood(keys: list[frozenset[int]]) -> tuple[VertexSet, ...]:
     return tuple(classes)
 
 
+def _closed_keys(adj: Adjacency) -> Iterator[tuple[int, ...]]:
+    for v, nbrs in enumerate(adj):
+        i = bisect(nbrs, v)
+        yield nbrs[:i] + (v,) + nbrs[i:]
+
+
 def twin_partition(g: Graph) -> TwinPartition:
     """Group vertices by exact open- and closed-neighborhood equality.
 
-    Grouping hashes the neighborhood sets and dict equality confirms them
-    exactly within a bucket. Singleton classes are omitted.
+    Grouping hashes the sorted neighbourhood tuples, v inserted in place
+    for the closed ones, and dict equality confirms them exactly within a
+    bucket. Singleton classes are omitted.
     """
     adj = g._adj
-    open_classes = _group_by_neighborhood(list(adj))
-    closed_classes = _group_by_neighborhood([adj[v] | {v} for v in range(g.n)])
+    open_classes = _group_by_neighborhood(adj)
+    closed_classes = _group_by_neighborhood(_closed_keys(adj))
     # The two kinds of class are disjoint. Open twins are non-adjacent and
     # closed twins are adjacent. If v had an open twin u and a closed twin w,
     # then w in N(v) = N(u) would put u in N[w] = N[v], so u would be

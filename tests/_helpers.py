@@ -185,7 +185,7 @@ def greedy_union_reference(g: Graph, union) -> frozenset[int]:
 
 def build_graph_reference(labels, edges) -> Graph:
     """build_graph as a plain loop: every neighbour set stays alive until
-    all of them are copied into frozensets."""
+    all of them are copied into sorted tuples."""
     index: dict[str, int] = {}
     for lab in labels:
         if lab in index:
@@ -202,19 +202,32 @@ def build_graph_reference(labels, edges) -> Graph:
         u, v = index[a], index[b]
         adj[u].add(v)
         adj[v].add(u)
-    return Graph(tuple(index), tuple(frozenset(s) for s in adj))
+    return Graph(tuple(index), tuple(tuple(sorted(s)) for s in adj))
 
 
-def peak_over_retained(build) -> float:
-    """tracemalloc peak while build() runs over the size its result keeps."""
+def assert_sorted_tuple_layout(g: Graph) -> None:
+    """Each neighbourhood is a tuple of int ids in ascending order, the
+    adjacency is symmetric with no self-loop, and neighbors() hands out a
+    frozenset of the same ids."""
+    for v, nbrs in enumerate(g._adj):
+        assert type(nbrs) is tuple and all(type(u) is int for u in nbrs), v
+        assert list(nbrs) == sorted(set(nbrs)), v
+        assert v not in nbrs and all(v in g._adj[u] for u in nbrs), v
+        got = g.neighbors(v)
+        assert type(got) is frozenset and got == frozenset(nbrs), v
+
+
+def traced_mib(build) -> tuple[float, float]:
+    """MiB that build()'s result keeps and the peak while it ran, both
+    under tracemalloc."""
     tracemalloc.start()
     try:
         result = build()  # alive while the sizes are read
-        retained, peak = tracemalloc.get_traced_memory()
+        kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     del result
-    return peak / retained
+    return kept / 2**20, peak / 2**20
 
 
 def count_calls(monkeypatch, module, name: str) -> list:

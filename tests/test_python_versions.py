@@ -48,15 +48,21 @@ def _interpreters() -> list[tuple[str, Path]]:
     return found
 
 
-def test_cli_and_verify_under_every_supported_python():
+def _runners():
+    """(version, run) per interpreter; run(*args, stdin=None) runs that
+    python on args with graphmon from this checkout."""
     interpreters = _interpreters()
     if not interpreters:
         pytest.skip("no pyenv interpreter at or above requires-python")
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     for version, python in interpreters:
-        run = lambda *args, stdin=None: subprocess.run(
+        yield version, lambda *args, stdin=None, python=python: subprocess.run(
             [str(python), *args], input=stdin, capture_output=True, text=True, timeout=120, env=env
         )
+
+
+def test_cli_and_verify_under_every_supported_python():
+    for version, run in _runners():
         proc = run("-m", "graphmon", "analyze", "--dim", "2")
         assert proc.returncode == 0, (version, proc.stderr)
         report = json.loads(proc.stdout)
@@ -66,3 +72,20 @@ def test_cli_and_verify_under_every_supported_python():
         check = run("-c", VERIFY, stdin=proc.stdout)
         assert check.returncode == 0, (version, check.stderr)
         assert json.loads(check.stdout) == [], version
+
+
+def test_monitor_trace_from_a_file_under_every_supported_python(tmp_path):
+    # Pins the loader's sorted-tuple neighbourhoods and the trace order.
+    # The canonical seeds leave 16 vertices to propagation, in 64 lines;
+    # a single seed would leave one.
+    g = graphmon.fractal_cubic_network(2)
+    path = tmp_path / "fcn2.txt"
+    path.write_text(graphmon.to_edgelist_text(g), encoding="utf-8")
+    seeds = sorted(graphmon.canonical_power_dominating_set(2))
+    want = graphmon.trace_to_text(g, graphmon.monitoring_closure(g, seeds))
+    raw = ",".join(g.labels[v] for v in seeds)
+    for version, run in _runners():
+        proc = run("-m", "graphmon", "monitor", "--graph", str(path), "--seeds", raw, "--trace")
+        assert proc.returncode == 0, (version, proc.stderr)
+        assert proc.stdout[: len(want)] == want, version
+        assert proc.stdout[len(want) :].startswith("monitored "), version
