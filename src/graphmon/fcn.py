@@ -6,22 +6,26 @@ of cross edges on the special vertices prefix+"11"+0...0. Vertices are the
 2d+2 bit strings; ids are assigned in lexicographic label order, so a
 vertex's id equals the integer value of its bit string.
 
-The construction here is iterative rather than recursive: the innermost
-4-cycles are laid down for every 2d-bit prefix, then the cross 4-cycles
-are added level by level, which keeps the edge census auditable
-(m(d) = 4*m(d-1) + 4).
+Unrolling the recursion gives each vertex's neighbours in closed form.
+Every vertex v lies on the inner 4-cycle 00-01-11-10 of its last bit
+pair, so v ^ 1 and v ^ 2 are neighbours. A vertex whose low 2L bits are
+"11" followed by 2L-2 zeros, for a level 1 <= L <= d, also lies on that
+level's cross 4-cycle, so v ^ (1 << 2L) and v ^ (2 << 2L) are
+neighbours too. No vertex is special at two levels, so degrees are 2 and
+4. The 4^(d+1) vertices give 4^d inner cycles and the special vertices
+4^(d-L) cross cycles at level L. Dropping the top bit pair maps the
+cycles below level d onto those of FCN(d-1), once in each of the four
+copies, and level d adds the one cross cycle that joins the copies, so
+m(d) = 4*m(d-1) + 4. Vertices that share their neighbour pattern are
+evenly spaced, so each pattern's neighbourhoods are built at once from
+strided slices of the id list.
 """
 
 from __future__ import annotations
 
-from .core import Graph, GraphError, LimitExceeded, VertexSet, _freeze
+from .core import Graph, GraphError, LimitExceeded, VertexSet
 
 MAX_DIMENSION = 8
-
-# One 4-cycle on the two-bit patterns, as id offsets: 00-01-11-10-00.
-# Cross cycles use the same cycle traversed as 00-10-11-01-00; the edge
-# set is identical either way.
-_CYCLE = ((0, 1), (1, 3), (3, 2), (2, 0))
 
 
 def vertex_count(d: int) -> int:
@@ -39,36 +43,43 @@ def _check_dimension(d: int) -> None:
         )
 
 
+def _lay(adj: list, ids: list[int], start: int, stride: int, flips: tuple[int, ...]) -> None:
+    """Give the vertices start, start + stride, ... their neighbours v ^ f
+    for f in flips, as ascending tuples of the shared ids.
+
+    The bits that the flips touch are the same in all of these vertices,
+    so each neighbour lies at one fixed offset from them.
+    """
+    offsets = sorted((start ^ f) - start for f in flips)
+    adj[start::stride] = zip(*(ids[start + o :: stride] for o in offsets))
+
+
 def fractal_cubic_network(d: int) -> Graph:
     """Build FCN(d) with vertices labeled by their 2d+2 bit strings."""
     _check_dimension(d)
     width = 2 * d + 2
     n = vertex_count(d)
-    labels = tuple(format(v, f"0{width}b") for v in range(n))
-    # Each edge's ends differ in one bit pair, which names its level, and
-    # no cycle is laid down twice, so no edge repeats and plain lists
-    # suffice. Appending ids[v] rather than v keeps one int object per id
-    # however many lists hold it.
+    # Each label is a high half and a low half, so format runs once per
+    # half rather than once per vertex.
+    low = width // 2
+    highs = [format(h, f"0{width - low}b") for h in range(1 << (width - low))]
+    lows = [format(v, f"0{low}b") for v in range(1 << low)]
+    labels = tuple(h + l for h in highs for l in lows)
+    # Tuples of ids[v] rather than v keep one int object per id however
+    # many neighbourhoods hold it.
     ids = list(range(n))
-    adj: list[list[int]] = [[] for _ in ids]
-
-    def add_cycle(base: int, shift: int) -> None:
-        # 4-cycle on base | (pattern << shift) over the two-bit patterns
-        for a, b in _CYCLE:
-            u = base | (a << shift)
-            v = base | (b << shift)
-            adj[u].append(ids[v])
-            adj[v].append(ids[u])
-
-    for prefix in range(n >> 2):
-        add_cycle(prefix << 2, 0)
+    adj: list = [()] * n
+    # Opposite corners of an inner cycle have the same two neighbours, so
+    # they share one tuple. Level 1, where d >= 1, gives every corner 11
+    # its four neighbours instead.
+    adj[0::4] = adj[3::4] = list(zip(ids[1::4], ids[2::4]))
+    adj[1::4] = adj[2::4] = list(zip(ids[0::4], ids[3::4]))
     for level in range(1, d + 1):
-        # special suffix "11" followed by 2*level-2 zeros
-        suffix = 0b11 << (2 * level - 2)
-        for prefix in range(1 << (2 * (d - level))):
-            add_cycle((prefix << (2 * level + 2)) | suffix, 2 * level)
-
-    return Graph(labels, _freeze(adj))
+        step = 1 << (2 * level)
+        special = 0b11 << (2 * level - 2)
+        for pair in range(4):
+            _lay(adj, ids, (pair * step) | special, 4 * step, (1, 2, step, 2 * step))
+    return Graph(labels, tuple(adj))
 
 
 def canonical_power_dominating_set(d: int) -> VertexSet:

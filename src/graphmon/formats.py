@@ -25,7 +25,8 @@ def _writable_labels(g: Graph, fmt: str, ok: Callable[[str], bool]) -> tuple[str
 
 
 def to_edgelist_text(g: Graph) -> str:
-    labels = _writable_labels(g, "text", lambda lab: lab and not any(c.isspace() for c in lab))
+    # A label must split into itself alone, which rejects "" and any whitespace.
+    labels = _writable_labels(g, "text", lambda lab: lab.split() == [lab])
     lines = [f"{g.n} {g.m}"]
     lines.extend(labels)
     lines.extend(f"{labels[u]} {labels[v]}" for u, v in g.edges())
@@ -95,7 +96,9 @@ def from_json_text(text: str) -> Graph:
 
 def to_dot(g: Graph) -> str:
     # Labels are written inside double quotes with no escaping.
-    labels = _writable_labels(g, "DOT", lambda lab: not any(c in '"\\\n\r' for c in lab))
+    labels = _writable_labels(
+        g, "DOT", lambda lab: '"' not in lab and "\\" not in lab and "\n" not in lab and "\r" not in lab
+    )
     lines = ["graph G {"]
     lines.extend(f'  "{lab}";' for lab in labels)
     lines.extend(f'  "{labels[u]}" -- "{labels[v]}";' for u, v in g.edges())

@@ -1,9 +1,9 @@
 """Shared test utilities: seeded graph generators, an independent
 propagation engine, trace replay, the randomized property suites, and
-plain reference versions of library paths (the graph builder, all-pairs
-distances and diameter, the resolving check, the exact eta_p search, the
-greedy constructions with their own plain removal loops), and a memory
-probe.
+plain reference versions of library paths (the graph builder, the
+cycle-by-cycle FCN(d) construction, all-pairs distances and diameter,
+the resolving check, the exact eta_p search, the greedy constructions
+with their own plain removal loops), and a memory probe.
 
 The suites live here so the property tests and the acceptance gate can
 run the same logic on different seeds. Every suite returns a list of
@@ -203,6 +203,33 @@ def build_graph_reference(labels, edges) -> Graph:
         adj[u].add(v)
         adj[v].add(u)
     return Graph(tuple(index), tuple(tuple(sorted(s)) for s in adj))
+
+
+def fcn_reference(d: int) -> Graph:
+    """FCN(d) laid down cycle by cycle from the recursive definition: the
+    inner 4-cycle 00-01-11-10 for every 2d-bit prefix, then the cross
+    4-cycles level by level on the special vertices prefix+"11"+0...0,
+    with one format call per label."""
+    width = 2 * d + 2
+    n = 1 << width
+    labels = tuple(format(v, f"0{width}b") for v in range(n))
+    adj: list[list[int]] = [[] for _ in range(n)]
+
+    def add_cycle(base: int, shift: int) -> None:
+        # 4-cycle on base | (pattern << shift) over the two-bit patterns
+        for a, b in ((0, 1), (1, 3), (3, 2), (2, 0)):
+            u = base | (a << shift)
+            v = base | (b << shift)
+            adj[u].append(v)
+            adj[v].append(u)
+
+    for prefix in range(n >> 2):
+        add_cycle(prefix << 2, 0)
+    for level in range(1, d + 1):
+        suffix = 0b11 << (2 * level - 2)
+        for prefix in range(1 << (2 * (d - level))):
+            add_cycle((prefix << (2 * level + 2)) | suffix, 2 * level)
+    return Graph(labels, tuple(tuple(sorted(s)) for s in adj))
 
 
 def assert_sorted_tuple_layout(g: Graph) -> None:

@@ -74,6 +74,16 @@ def test_cli_and_verify_under_every_supported_python():
         assert json.loads(check.stdout) == [], version
 
 
+def test_generate_under_every_supported_python():
+    # Pins the strided-slice construction and the label concatenation,
+    # down to the ascending neighbour order the edge list is written in.
+    want = graphmon.to_edgelist_text(graphmon.fractal_cubic_network(4))
+    for version, run in _runners():
+        proc = run("-m", "graphmon", "generate", "--dim", "4")
+        assert proc.returncode == 0, (version, proc.stderr)
+        assert proc.stdout == want, version
+
+
 def test_monitor_trace_from_a_file_under_every_supported_python(tmp_path):
     # Pins the loader's sorted-tuple neighbourhoods and the trace order.
     # The canonical seeds leave 16 vertices to propagation, in 64 lines;
