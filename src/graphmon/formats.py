@@ -12,9 +12,20 @@ or line break.
 from __future__ import annotations
 
 import json
-from typing import Callable
+from itertools import chain, islice
+from typing import Callable, Iterator
 
 from .core import Graph, GraphError, build_graph
+
+
+def join_lines(lines: Iterator[str]) -> str:
+    """Each line followed by a newline, joined 4,096 lines at a time, so no
+    more than one chunk's line strings are alive beside the text."""
+    chunks = []
+    while chunk := list(islice(lines, 4096)):
+        chunk.append("")
+        chunks.append("\n".join(chunk))
+    return "".join(chunks)
 
 
 def _writable_labels(g: Graph, fmt: str, ok: Callable[[str], bool]) -> tuple[str, ...]:
@@ -27,10 +38,8 @@ def _writable_labels(g: Graph, fmt: str, ok: Callable[[str], bool]) -> tuple[str
 def to_edgelist_text(g: Graph) -> str:
     # A label must split into itself alone, which rejects "" and any whitespace.
     labels = _writable_labels(g, "text", lambda lab: lab.split() == [lab])
-    lines = [f"{g.n} {g.m}"]
-    lines.extend(labels)
-    lines.extend(f"{labels[u]} {labels[v]}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"
+    edges = (f"{labels[u]} {labels[v]}" for u, v in g.edges())
+    return join_lines(chain([f"{g.n} {g.m}"], labels, edges))
 
 
 def from_edgelist_text(text: str) -> Graph:
@@ -99,11 +108,9 @@ def to_dot(g: Graph) -> str:
     labels = _writable_labels(
         g, "DOT", lambda lab: '"' not in lab and "\\" not in lab and "\n" not in lab and "\r" not in lab
     )
-    lines = ["graph G {"]
-    lines.extend(f'  "{lab}";' for lab in labels)
-    lines.extend(f'  "{labels[u]}" -- "{labels[v]}";' for u, v in g.edges())
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    nodes = (f'  "{lab}";' for lab in labels)
+    edges = (f'  "{labels[u]}" -- "{labels[v]}";' for u, v in g.edges())
+    return join_lines(chain(["graph G {"], nodes, edges, ["}"]))
 
 
 def loads_graph(text: str) -> Graph:

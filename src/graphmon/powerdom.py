@@ -22,7 +22,7 @@ neighborhood by one grow-and-undo.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain
 from typing import Iterable, NamedTuple
 
 from .core import (
@@ -37,6 +37,7 @@ from .core import (
     prune,
     smallest_subset,
 )
+from .formats import join_lines
 from .twins import twin_partition
 
 EXACT_CLASS_LIMIT = 20
@@ -276,21 +277,9 @@ def power_domination_bounds(
 
 
 def trace_to_text(g: Graph, trace: PropagationTrace) -> str:
-    """Line format: DOM lines in id order, then PROP y FROM x STEP t lines.
-
-    Lines are joined 4,096 at a time, so no more than one chunk's line
-    strings are alive beside the text.
-    """
+    """Line format: DOM lines in id order, then PROP y FROM x STEP t lines."""
     labels = g.labels
-    lines = chain(
-        (f"DOM {labels[v]}" for v in trace.dominated),
-        (
-            f"PROP {labels[p.vertex]} FROM {labels[p.source]} STEP {p.step}"
-            for p in trace.propagated
-        ),
-    )
-    chunks = []
-    while chunk := list(islice(lines, 4096)):
-        chunks.append("\n".join(chunk) + "\n")
-    return "".join(chunks)
+    dom = (f"DOM {labels[v]}" for v in trace.dominated)
+    prop = (f"PROP {labels[p.vertex]} FROM {labels[p.source]} STEP {p.step}" for p in trace.propagated)
+    return join_lines(chain(dom, prop))
 

@@ -55,14 +55,10 @@ def _require_connected(g: Graph, what: str) -> None:
         raise GraphError(f"{what} requires a connected graph, found {len(components(g))} components")
 
 
-def _codes(rows: Sequence[Sequence[int]], n: int) -> list[tuple[int, ...]]:
-    """Per-vertex codes from one BFS row per landmark, in row order."""
-    return list(zip(*rows)) if rows else [()] * n
-
-
 def _resolves(row: Callable[[int], Sequence[int]], marks: Iterable[int], n: int) -> bool:
-    """Whether marks resolve all n vertices; row(l) is the BFS row of landmark l."""
-    return len(set(_codes([row(l) for l in marks], n))) == n
+    """Whether marks resolve all n vertices; row(l) is the BFS row of landmark l.
+    The zipped rows are the codes; any set, the empty one too, resolves n <= 1."""
+    return n <= 1 or len(set(zip(*map(row, marks)))) == n
 
 
 def _twins_kept(part: TwinPartition) -> Callable[[VertexSet], bool]:
@@ -151,7 +147,8 @@ def _collisions(g: Graph, landmarks: Iterable[int]) -> list[tuple[tuple[int, ...
         codes = [tuple(row[l] for l in marks) for row in rows]
     else:
         rows = (bfs_distances(g, l) for l in marks)
-        codes = _codes([[row[v] for v in shared] for row in rows], len(shared))
+        # No landmarks zip to no codes; each shared vertex's code is then ().
+        codes = list(zip(*([row[v] for v in shared] for row in rows))) or [()] * len(shared)
     groups: dict[tuple[int, ...], list[int]] = {}
     for v, code in zip(shared, codes):
         groups.setdefault(code, []).append(v)

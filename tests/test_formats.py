@@ -247,3 +247,36 @@ def test_loading_fcn6_peaks_below_the_frozenset_layout(write, read, frozenset_pe
     # the graph shrinks.
     text = write(fractal_cubic_network(6))
     assert traced_mib(lambda: read(text))[1] <= frozenset_peak
+
+
+def _plain_texts(g) -> tuple[str, str]:
+    """The edge list and DOT text as one join of every line."""
+    labels = g.labels
+    edges = [(labels[u], labels[v]) for u, v in g.edges()]
+    edgelist = [f"{g.n} {g.m}", *labels, *(f"{a} {b}" for a, b in edges)]
+    dot = ["graph G {", *(f'  "{lab}";' for lab in labels), *(f'  "{a}" -- "{b}";' for a, b in edges), "}"]
+    return "\n".join(edgelist) + "\n", "\n".join(dot) + "\n"
+
+
+@pytest.mark.parametrize(
+    "build",
+    # n isolated vertices write n + 1 edge-list lines and n + 2 DOT lines,
+    # so these end just below, on and past a 4,096-line chunk.
+    [lambda n=n: build_graph([f"v{i}" for i in range(n)], []) for n in (4094, 4095, 4096)]
+    + [lambda: fractal_cubic_network(5)],
+    ids=["4094 isolated", "4095 isolated", "4096 isolated", "fcn5"],
+)
+def test_writers_match_one_join_of_every_line(build):
+    g = build()
+    assert (to_edgelist_text(g), to_dot(g)) == _plain_texts(g)
+
+
+@pytest.mark.parametrize("write", [to_edgelist_text, to_dot], ids=["edgelist", "dot"])
+def test_writing_fcn7_peaks_near_two_copies_of_the_text(write):
+    # Joining every line at once and then copying the text for its final
+    # newline peaked at 4.1 (edge list) and 4.6 (DOT) times the text's
+    # size. Joined 4,096 lines at a time, the chunks and their join peak at
+    # about twice it.
+    g = fractal_cubic_network(7)
+    text_mib = len(write(g)) / 2**20
+    assert traced_mib(lambda: write(g))[1] <= 2.5 * text_mib

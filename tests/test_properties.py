@@ -15,6 +15,7 @@ from _helpers import (
     random_connected_graph,
     random_graph,
     random_seed_set,
+    random_tree_plus_chords,
     run_distance_identity_suite,
     run_idempotence_suite,
     run_twin_contact_suite,
@@ -22,6 +23,7 @@ from _helpers import (
     run_order_independence_suite,
     run_sandwich_suite,
     run_twin_bound_suite,
+    with_planted_twins,
 )
 
 
@@ -61,6 +63,19 @@ def test_metric_dimension_agrees_with_oracle():
         oracle = brute_force(g, "dim")
         assert value == oracle.optimum
         assert frozenset(basis) == oracle.certificate
+
+
+def test_metric_dimension_agrees_with_oracle_on_planted_twins():
+    # The exact-small shape at its low end: a tree with as many chords as
+    # vertices, then one to three twin copies, 10 to 18 vertices in all.
+    rng = random.Random(112)
+    for _ in range(40):
+        copies = rng.randint(1, 3)
+        base = rng.randint(10, 18) - copies
+        g = with_planted_twins(rng, random_tree_plus_chords(rng, base, base), copies)
+        value, basis = metric_dimension(g)
+        oracle = brute_force(g, "dim")
+        assert (value, frozenset(basis)) == (oracle.optimum, oracle.certificate)
 
 
 def test_pds_superset_property():

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import re
 import shutil
 import subprocess
@@ -14,6 +15,8 @@ from pathlib import Path
 import pytest
 
 import graphmon
+
+from _helpers import random_tree_plus_chords, with_planted_twins
 
 SRC = Path(graphmon.__file__).resolve().parent.parent
 PYPROJECT = SRC.parent / "pyproject.toml"
@@ -99,3 +102,21 @@ def test_monitor_trace_from_a_file_under_every_supported_python(tmp_path):
         assert proc.returncode == 0, (version, proc.stderr)
         assert proc.stdout[: len(want)] == want, version
         assert proc.stdout[len(want) :].startswith("monitored "), version
+
+
+def test_analyze_exact_paths_from_a_file_under_every_supported_python(tmp_path):
+    # 14 vertices with planted twins, an open class of three and a closed
+    # pair: under both exact limits, so gamma_p takes the exact oracle and
+    # dim and eta_p the exact search, which analyze --dim never reaches.
+    rng = random.Random(7)
+    g = with_planted_twins(rng, random_tree_plus_chords(rng, 11, 11), 3)
+    path = tmp_path / "twins.txt"
+    path.write_text(graphmon.to_edgelist_text(g), encoding="utf-8")
+    want = graphmon.build_report(graphmon.load_graph(str(path)))
+    methods = [want[k]["upper_method"] for k in ("gamma_p", "dim", "eta_p")]
+    assert methods == ["exact-oracle", "exact-search", "exact-search"]
+    for version, run in _runners():
+        proc = run("-m", "graphmon", "analyze", "--graph", str(path))
+        assert proc.returncode == 0, (version, proc.stderr)
+        when = json.loads(proc.stdout)["timestamp"]
+        assert proc.stdout == graphmon.report_to_json({**want, "timestamp": when}), version

@@ -182,6 +182,33 @@ def test_kernel_matches_tuple_reference(n, p, copies, share, seed):
     assert is_resolving_set(g, marks) == resolving_set_reference(g, marks)
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 12),
+    p=st.floats(0.0, 0.7),
+    share=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_row_kernel_matches_tuple_reference(n, p, share, seed):
+    rng = random.Random(seed)
+    g = random_connected_graph(rng, n, p)
+    row = [bfs_distances(g, v) for v in range(n)].__getitem__
+    marks = tuple(v for v in range(n) if rng.random() < share)
+    for landmarks in ((), marks, frozenset(marks)):
+        want = resolving_set_reference(g, landmarks)[0]
+        assert graphmon.resolving._resolves(row, landmarks, n) == want
+
+
+@pytest.mark.parametrize("name", ["empty", "K1", "K2"])
+@pytest.mark.parametrize("kind", [tuple, frozenset])
+def test_row_kernel_resolves_at_most_one_vertex_with_no_landmarks(name, kind):
+    g = TINY[name]
+    row = [bfs_distances(g, v) for v in range(g.n)].__getitem__
+    want = resolving_set_reference(g, ())[0]
+    assert graphmon.resolving._resolves(row, kind(), g.n) == want == (g.n <= 1)
+    assert graphmon.resolving._resolves(row, kind(range(g.n)), g.n)
+
+
 def cycle(n):
     labels = [f"c{i:02d}" for i in range(n)]
     return build_graph(labels, [(labels[i], labels[(i + 1) % n]) for i in range(n)])
