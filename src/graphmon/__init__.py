@@ -37,7 +37,6 @@ from .oracle import OracleResult, brute_force
 from .powerdom import (
     Propagation,
     PropagationTrace,
-    TwinClassBound,
     greedy_power_dominating_set,
     is_power_dominating_set,
     monitoring_closure,
@@ -88,7 +87,6 @@ __all__ = [
     "brute_force",
     "Propagation",
     "PropagationTrace",
-    "TwinClassBound",
     "greedy_power_dominating_set",
     "is_power_dominating_set",
     "monitoring_closure",

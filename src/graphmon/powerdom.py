@@ -146,71 +146,54 @@ def is_power_dominating_set(g: Graph, seeds: Iterable[int]) -> bool:
     return len(_force(adj, bytearray(g.n), [len(a) for a in adj], start)) == g.n
 
 
-@dataclass(frozen=True)
-class TwinClassBound:
-    """Lower bound witness: open twin classes with pairwise disjoint closed
-    class neighborhoods. Any power-dominating set must intersect each
-    class's closed neighborhood, so their count bounds the optimum."""
+def twin_lower_bound(g: Graph) -> tuple[VertexSet, ...]:
+    """Open twin classes whose closed neighborhoods are pairwise disjoint.
 
-    bound: int
-    classes: tuple[VertexSet, ...]
-    method: str  # "exact" or "greedy"
-
-
-def twin_lower_bound(g: Graph) -> TwinClassBound:
-    """Largest selectable family of open twin classes whose closed
-    neighborhoods are pairwise disjoint.
-
-    Exact (branch and bound over the class conflict graph) up to
-    EXACT_CLASS_LIMIT classes, greedy beyond that.
+    A power-dominating set meets the closed neighborhood of every open
+    twin class (Lemma 2; each class is a fort), so the number of classes
+    packed bounds gamma_p from below. The classes are packed greedily in
+    class order; up to EXACT_CLASS_LIMIT classes a branch and bound over
+    the class conflict graph then improves that packing to a largest one.
     """
     classes = twin_partition(g).open_classes
     k = len(classes)
     territories = [closed_neighborhood(g, c) for c in classes]
-
-    def greedy() -> tuple[int, int]:
-        taken_mask = 0
-        occupied: set[int] = set()
-        for i in range(k):
-            if not (territories[i] & occupied):
-                taken_mask |= 1 << i
-                occupied |= territories[i]
-        return taken_mask.bit_count(), taken_mask
-
-    if k > EXACT_CLASS_LIMIT:
-        count, mask = greedy()
-        chosen = tuple(classes[i] for i in range(k) if mask >> i & 1)
-        return TwinClassBound(count, chosen, "greedy")
-
-    conflict = [0] * k
+    best_mask = 0
+    occupied: set[int] = set()
     for i in range(k):
-        for j in range(i + 1, k):
-            if territories[i] & territories[j]:
-                conflict[i] |= 1 << j
-                conflict[j] |= 1 << i
+        if not (territories[i] & occupied):
+            best_mask |= 1 << i
+            occupied |= territories[i]
 
-    best_count, best_mask = greedy()
+    if k <= EXACT_CLASS_LIMIT:
+        conflict = [0] * k
+        for i in range(k):
+            for j in range(i + 1, k):
+                if territories[i] & territories[j]:
+                    conflict[i] |= 1 << j
+                    conflict[j] |= 1 << i
+        best_count = best_mask.bit_count()
 
-    def dfs(avail: int, count: int, mask: int) -> None:
-        nonlocal best_count, best_mask
-        if count + avail.bit_count() <= best_count:
-            return
-        if avail == 0:
-            best_count, best_mask = count, mask
-            return
-        low = avail & -avail
-        i = low.bit_length() - 1
-        dfs(avail & ~low & ~conflict[i], count + 1, mask | low)
-        dfs(avail & ~low, count, mask)
+        def dfs(avail: int, count: int, mask: int) -> None:
+            nonlocal best_count, best_mask
+            if count + avail.bit_count() <= best_count:
+                return
+            if avail == 0:
+                best_count, best_mask = count, mask
+                return
+            low = avail & -avail
+            i = low.bit_length() - 1
+            dfs(avail & ~low & ~conflict[i], count + 1, mask | low)
+            dfs(avail & ~low, count, mask)
 
-    dfs((1 << k) - 1, 0, 0)
-    chosen = tuple(classes[i] for i in range(k) if best_mask >> i & 1)
-    return TwinClassBound(best_count, chosen, "exact")
+        dfs((1 << k) - 1, 0, 0)
+    return tuple(classes[i] for i in range(k) if best_mask >> i & 1)
 
 
 def greedy_power_dominating_set(g: Graph) -> VertexSet:
     """Deterministic heuristic PDS: one seed per open twin class, then
-    maximum-closure-gain additions, then a removal pass."""
+    maximum-closure-gain additions. It has no removal pass of its own;
+    power_domination_bounds prunes it down to its lower bound."""
     adj = g._adj
     monitored = bytearray(g.n)
     unmon = [len(a) for a in adj]
@@ -231,7 +214,7 @@ def greedy_power_dominating_set(g: Graph) -> VertexSet:
         best_v = max(candidates, key=gain)
         seeds.add(best_v)
         reached += len(_force(adj, monitored, unmon, (best_v, *adj[best_v])))
-    return prune(seeds, lambda rest: is_power_dominating_set(g, rest), twin_lower_bound(g).bound)
+    return frozenset(seeds)
 
 
 def power_domination_bounds(
@@ -243,9 +226,10 @@ def power_domination_bounds(
 
     Connected graphs up to exact_limit vertices are solved exactly by
     trying every subset by size from 0 up, then in lexicographic order
-    (tagged exact-oracle); larger ones get the twin-class lower bound and a
-    verified upper certificate (the hint when it power-dominates, the
-    greedy construction otherwise). Disconnected graphs are handled per
+    (tagged exact-oracle); larger ones get the twin-class packing's lower
+    bound and a verified upper certificate: the hint when it
+    power-dominates, otherwise the greedy construction, pruned no
+    further than the lower bound. Disconnected graphs are handled per
     component and summed.
     """
     hint_set = None if hint is None else g.check_vertex_set(hint)
@@ -266,13 +250,13 @@ def power_domination_bounds(
         k = len(best)
         return Bounds(k, k, frozenset(best), "exact-oracle", "exact-oracle", examined)
 
-    tlb = twin_lower_bound(g)
+    packing = twin_lower_bound(g)
     # Every vertex set monitors the empty graph; any other needs a vertex.
-    lower = max(min(1, g.n), tlb.bound)
-    lower_method = "lemma2-lower" if tlb.bound >= 1 else "trivial-lower"
+    lower = max(min(1, g.n), len(packing))
+    lower_method = "lemma2-lower" if packing else "trivial-lower"
     if hint_set is not None and is_power_dominating_set(g, hint_set):
         return Bounds(lower, len(hint_set), hint_set, lower_method, "hint-certificate")
-    cert = greedy_power_dominating_set(g)
+    cert = prune(greedy_power_dominating_set(g), lambda rest: is_power_dominating_set(g, rest), lower)
     return Bounds(lower, len(cert), cert, lower_method, "greedy")
 
 

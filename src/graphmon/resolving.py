@@ -343,7 +343,9 @@ def greedy_resolving_set(g: Graph) -> VertexSet:
     row a holds d(a, w) for every candidate w, and are counted per
     candidate until picks split them; the parts that split off get their
     ints from those rows. The removal pass stops at the number of twin
-    seeds, which no resolving set can beat.
+    seeds, which no resolving set can beat. Unlike the gamma_p greedy,
+    whose section prunes it, this greedy keeps its own removal pass,
+    because the pass reads the distance rows the greedy already holds.
     """
     _require_connected(g, "greedy resolving construction")
     n = g.n

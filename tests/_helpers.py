@@ -318,19 +318,22 @@ def grid_graph(rows: int, cols: int) -> Graph:
 
 
 def with_planted_twins(rng: random.Random, g: Graph, copies: int) -> Graph:
-    """Append twin copies of random vertices: open twins duplicate an
-    adjacency set, closed twins additionally attach to the original."""
-    labels = list(g.labels)
-    edges = [(labels[u], labels[v]) for u, v in g.edges()]
-    for k in range(copies):
+    """Append twin copies of random vertices: an open twin takes its
+    original's neighbours in the graph built so far, a closed twin also
+    attaches to the original. A vertex copied again gets a copy of the
+    same kind as its first, so every copy stays a twin of its original.
+    Each copy draws its original, then a kind, whether it uses it or not."""
+    adj = [set(g.neighbors(v)) for v in range(g.n)]
+    kinds: dict[int, bool] = {}
+    for _ in range(copies):
         v = rng.randrange(g.n)
-        twin = f"t{k:02d}"
-        labels.append(twin)
-        for u in g.neighbors(v):
-            edges.append((twin, g.labels[u]))
-        if rng.random() < 0.5:
-            edges.append((twin, g.labels[v]))
-    return build_graph(labels, edges)
+        closed = kinds.setdefault(v, rng.random() < 0.5)
+        twin = len(adj)
+        adj.append(adj[v] | {v} if closed else set(adj[v]))
+        for u in adj[twin]:
+            adj[u].add(twin)
+    labels = [*g.labels, *(f"t{k:02d}" for k in range(copies))]
+    return build_graph(labels, [(labels[u], labels[w]) for u, nbrs in enumerate(adj) for w in nbrs if u < w])
 
 
 def random_seed_set(rng: random.Random, g: Graph, low: int = 0, high: int | None = None) -> set[int]:
@@ -469,15 +472,22 @@ def run_twin_contact_suite(seed: int, cases: int) -> list[str]:
 
 
 def run_twin_bound_suite(seed: int, cases: int) -> list[str]:
+    """twin_lower_bound's packing: sets of two or more open twins with
+    pairwise disjoint closed neighbourhoods, no more of them than gamma_p."""
     rng = random.Random(seed)
     bad = []
     for i in range(cases):
         base = random_graph(rng, rng.randint(2, 8), rng.uniform(0.15, 0.6))
         g = with_planted_twins(rng, base, rng.randint(0, 4))
-        bound = twin_lower_bound(g).bound
+        packing = twin_lower_bound(g)
+        if any(len(cls) < 2 or len({g.neighbors(v) for v in cls}) > 1 for cls in packing):
+            bad.append(f"case {i}: a packed class is not a set of open twins")
+        territories = [closed_neighborhood(g, cls) for cls in packing]
+        if any(not a.isdisjoint(b) for a, b in combinations(territories, 2)):
+            bad.append(f"case {i}: packed classes share a closed neighbourhood vertex")
         optimum = brute_force(g, "gamma_p").optimum
-        if bound > optimum:
-            bad.append(f"case {i}: twin bound {bound} exceeds optimum {optimum}")
+        if len(packing) > optimum:
+            bad.append(f"case {i}: twin bound {len(packing)} exceeds optimum {optimum}")
     return bad
 
 

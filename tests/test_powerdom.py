@@ -161,30 +161,30 @@ def test_traces_replay_on_random_graphs():
 
 
 def test_twin_lower_bound_c4(c4):
-    result = twin_lower_bound(c4)
-    assert result.bound == 1
-    assert result.method == "exact"
-    assert len(result.classes) == 1
-    assert sorted(result.classes[0]) in ([0, 3], [1, 2])
+    packing = twin_lower_bound(c4)
+    assert len(packing) == 1
+    assert sorted(packing[0]) in ([0, 3], [1, 2])
 
 
 @pytest.mark.parametrize("d,expected,method", [(1, 4, "exact"), (2, 16, "exact"), (3, 64, "greedy")])
 def test_twin_lower_bound_fcn(d, expected, method):
-    result = twin_lower_bound(fractal_cubic_network(d))
-    assert result.bound == expected
-    assert result.method == method
-    assert len(result.classes) == expected
+    # method names the search that runs: the branch and bound up to
+    # EXACT_CLASS_LIMIT classes, the greedy packing alone past it.
+    g = fractal_cubic_network(d)
+    classes = twin_partition(g).open_classes
+    assert (len(classes) <= graphmon.powerdom.EXACT_CLASS_LIMIT) == (method == "exact")
+    assert twin_lower_bound(g) == classes
+    assert len(classes) == expected
 
 
 def test_twin_lower_bound_without_open_classes():
     g = build_graph(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")])
-    result = twin_lower_bound(g)
-    assert result.bound == 0 and result.classes == () and result.method == "exact"
+    assert twin_lower_bound(g) == ()
 
 
 def test_twin_lower_bound_star():
     g = build_graph(["hub", "x", "y", "z"], [("hub", "x"), ("hub", "y"), ("hub", "z")])
-    assert twin_lower_bound(g).bound == 1
+    assert twin_lower_bound(g) == (frozenset({1, 2, 3}),)
 
 
 def test_greedy_never_beats_exact_selection(monkeypatch):
@@ -195,9 +195,21 @@ def test_greedy_never_beats_exact_selection(monkeypatch):
         exact = twin_lower_bound(g)
         monkeypatch.setattr(graphmon.powerdom, "EXACT_CLASS_LIMIT", 0)
         greedy = twin_lower_bound(g)
-        assert exact.method == "exact"
-        assert greedy.method == ("greedy" if exact.bound else "exact")
-        assert greedy.bound <= exact.bound
+        assert len(greedy) <= len(exact)
+
+
+def test_twin_lower_bound_improves_on_the_greedy_packing(monkeypatch):
+    # Of the open classes {0, 1}, {2, 3} and {6, 7}, the first meets both
+    # others in its closed neighbourhood, and they are disjoint. So the
+    # greedy packing in class order takes the first alone, and the branch
+    # and bound replaces it by the other two.
+    labels = [f"v{i}" for i in range(9)]
+    edges = [(0, 4), (1, 4), (2, 4), (3, 4), (0, 5), (1, 5), (5, 6), (5, 7), (2, 8), (3, 8)]
+    g = build_graph(labels, [(labels[a], labels[b]) for a, b in edges])
+    monkeypatch.setattr(graphmon.powerdom, "EXACT_CLASS_LIMIT", 0)
+    assert twin_lower_bound(g) == (frozenset({0, 1}),)
+    monkeypatch.setattr(graphmon.powerdom, "EXACT_CLASS_LIMIT", 20)
+    assert twin_lower_bound(g) == (frozenset({2, 3}), frozenset({6, 7}))
 
 
 def test_bounds_on_c4(c4):
@@ -268,14 +280,15 @@ def test_greedy_pds_is_valid_and_deterministic():
 
 def test_greedy_pds_matches_the_plain_loop():
     # Sparse graphs from 10 to 40 vertices, so that the twin seeds rarely
-    # monitor everything and the add loop runs for several steps.
+    # monitor everything and the add loop runs for several steps. The
+    # section prunes the greedy construction as the plain loop prunes its own.
     rng = random.Random(71)
     most_added = 0
     for case in range(36):
         g = random_connected_graph(rng, rng.randint(10, 40), rng.uniform(0.0, 0.08))
         if case % 2:
             g = with_planted_twins(rng, g, rng.randint(1, 4))
-        cert = greedy_power_dominating_set(g)
+        cert = power_domination_bounds(g, exact_limit=0).certificate
         assert cert == greedy_power_dominating_set_reference(g)
         twin_seeds = {min(c) for c in twin_partition(g).open_classes}
         most_added = max(most_added, len(cert - twin_seeds))
@@ -283,12 +296,21 @@ def test_greedy_pds_matches_the_plain_loop():
 
 
 def test_greedy_pds_scores_only_candidates_that_can_gain(monkeypatch):
-    # A candidate v with N[v] all monitored gains 0 and is not scored.
+    # A candidate v with N[v] all monitored gains 0 and is not scored. The
+    # count includes the section's removal pass, one _force per member tried.
     g = random_tree_plus_chords(random.Random(1), 160, 80)
     calls = count_calls(monkeypatch, graphmon.powerdom, "_force")
-    cert = greedy_power_dominating_set(g)
+    cert = power_domination_bounds(g).certificate
     assert len(calls) == 854
     assert cert == greedy_power_dominating_set_reference(g)
+
+
+def test_greedy_gamma_p_section_packs_the_twin_classes_once(monkeypatch):
+    # The section's lower bound is also the floor of its removal pass.
+    g = random_tree_plus_chords(random.Random(1), 160, 80)
+    packings = count_calls(monkeypatch, graphmon.powerdom, "twin_lower_bound")
+    b = power_domination_bounds(g)
+    assert (b.upper_method, len(packings)) == ("greedy", 1)
 
 
 def test_greedy_pds_builds_no_trace(monkeypatch):
@@ -296,13 +318,13 @@ def test_greedy_pds_builds_no_trace(monkeypatch):
     graphs = [
         random_connected_graph(rng, rng.randint(10, 40), rng.uniform(0.0, 0.08)) for _ in range(8)
     ]
-    certs = [greedy_power_dominating_set(g) for g in graphs]
+    certs = [power_domination_bounds(g, exact_limit=0).certificate for g in graphs]
 
     def refuse(*args, **kwargs):
-        raise AssertionError("greedy_power_dominating_set built a trace")
+        raise AssertionError("the greedy gamma_p section built a trace")
 
     monkeypatch.setattr(graphmon.powerdom, "monitoring_closure", refuse)
-    assert [greedy_power_dominating_set(g) for g in graphs] == certs
+    assert [power_domination_bounds(g, exact_limit=0).certificate for g in graphs] == certs
 
 
 def test_edgeless_graph_needs_every_vertex():

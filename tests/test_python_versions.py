@@ -27,6 +27,12 @@ from graphmon import fractal_cubic_network, verify_report
 print(json.dumps(verify_report(fractal_cubic_network(2), json.load(sys.stdin))))
 """
 
+VERIFY_FILE = """
+import json, sys
+from graphmon import load_graph, verify_report
+print(json.dumps(verify_report(load_graph(sys.argv[1]), json.load(sys.stdin))))
+"""
+
 
 def _floor() -> tuple[int, int]:
     found = re.search(r'requires-python\s*=\s*">=\s*(\d+)\.(\d+)', PYPROJECT.read_text(encoding="utf-8"))
@@ -120,3 +126,24 @@ def test_analyze_exact_paths_from_a_file_under_every_supported_python(tmp_path):
         assert proc.returncode == 0, (version, proc.stderr)
         when = json.loads(proc.stdout)["timestamp"]
         assert proc.stdout == graphmon.report_to_json({**want, "timestamp": when}), version
+
+
+def test_analyze_greedy_gamma_p_from_a_file_under_every_supported_python(tmp_path):
+    # FCN(3) read from a file takes no hint, so gamma_p runs the greedy
+    # packing (64 classes, past EXACT_CLASS_LIMIT), the greedy PDS and the
+    # section's removal pass, which analyze --dim never reaches.
+    path = tmp_path / "fcn3.txt"
+    path.write_text(graphmon.to_edgelist_text(graphmon.fractal_cubic_network(3)), encoding="utf-8")
+    want = graphmon.build_report(graphmon.load_graph(str(path)), checks=["twins", "gamma_p"])
+    section = want["gamma_p"]
+    assert (section["lower"], section["upper"], section["lower_method"], section["upper_method"]) == (
+        64, 64, "lemma2-lower", "greedy"
+    )
+    for version, run in _runners():
+        proc = run("-m", "graphmon", "analyze", "--graph", str(path), "--checks", "twins,gamma-p")
+        assert proc.returncode == 0, (version, proc.stderr)
+        when = json.loads(proc.stdout)["timestamp"]
+        assert proc.stdout == graphmon.report_to_json({**want, "timestamp": when}), version
+        check = run("-c", VERIFY_FILE, str(path), stdin=proc.stdout)
+        assert check.returncode == 0, (version, check.stderr)
+        assert json.loads(check.stdout) == [], version

@@ -13,7 +13,6 @@ from graphmon import (
     Bounds,
     GraphError,
     LimitExceeded,
-    TwinClassBound,
     bfs_distances,
     build_graph,
     canonical_power_dominating_set,
@@ -61,27 +60,27 @@ TINY = {
 }
 NOTHING = Bounds(0, 0, frozenset(), "exact-search", "exact-search")
 # name -> (no landmarks, all landmarks, greedy resolving, greedy monitoring,
-#          twin bound, dim bounds, eta_p bounds); GraphError where raised
+#          twin packing, dim bounds, eta_p bounds); GraphError where raised
 TINY_ANSWERS = {
     "empty": (
         (True, None), (True, None), frozenset(), frozenset(),
-        TwinClassBound(0, (), "exact"), NOTHING,
+        (), NOTHING,
         Bounds(0, 0, frozenset(), "exact-search", "exact-search", 1),
     ),
     "K1": (
         (True, None), (True, None), frozenset(), frozenset({0}),
-        TwinClassBound(0, (), "exact"), NOTHING,
+        (), NOTHING,
         Bounds(1, 1, frozenset({0}), "exact-search", "exact-search", 1),
     ),
     "K2": (
         (False, (0, 1)), (True, None), frozenset({0}), frozenset({0}),
-        TwinClassBound(0, (), "exact"),
+        (),
         Bounds(1, 1, frozenset({0}), "exact-search", "exact-search"),
         Bounds(1, 1, frozenset({0}), "exact-search", "exact-search", 1),
     ),
     "two isolated vertices": (
         GraphError, GraphError, GraphError, frozenset({0, 1}),
-        TwinClassBound(1, (frozenset({0, 1}),), "exact"), GraphError, GraphError,
+        (frozenset({0, 1}),), GraphError, GraphError,
     ),
 }
 
@@ -552,7 +551,8 @@ def test_greedy_union_matches_naive_pruning():
             swap = {}
             for cls in twin_partition(g).open_classes:
                 swap[min(cls)], swap[max(cls)] = max(cls), min(cls)
-            hint = {swap.get(v, v) for v in greedy_power_dominating_set(g)}
+            greedy = power_domination_bounds(g, exact_limit=0).certificate
+            hint = {swap.get(v, v) for v in greedy}
         power = power_domination_bounds(g, exact_limit=0, hint=hint)
         resolving = metric_dimension_bounds(g, exact_limit=0, hint=hint)
         b = resolving_power_domination_bounds(g, power, resolving, exact_limit=0)
@@ -721,4 +721,4 @@ def test_metric_dimension_bounds_fcn4_without_hint():
 
 def test_twin_lower_bound_consistency(fcn1):
     # the landmark bound and the monitoring bound coincide on this family
-    assert twin_resolving_lower_bound(fcn1) == twin_lower_bound(fcn1).bound == 4
+    assert twin_resolving_lower_bound(fcn1) == len(twin_lower_bound(fcn1)) == 4

@@ -126,3 +126,21 @@ def test_twin_kinds_are_disjoint(n, p, copies, seed):
     assert not in_open & in_closed
     assert sum(map(len, part.open_classes)) == len(in_open)
     assert sum(map(len, part.closed_classes)) == len(in_closed)
+
+
+def test_planted_copies_are_twins_of_their_originals():
+    # Each copy draws its original, then a kind; replaying those draws
+    # names the original of every tNN.
+    for seed in range(300):
+        rng = random.Random(seed)
+        base = random_graph(rng, rng.randint(2, 14), rng.uniform(0.1, 0.6))
+        copies = rng.randint(1, 4)
+        state = rng.getstate()
+        g = with_planted_twins(rng, base, copies)
+        rng.setstate(state)
+        part = twin_partition(g)
+        for k in range(copies):
+            original = rng.randrange(base.n)
+            rng.random()
+            pair = {original, g.index(f"t{k:02d}")}
+            assert any(pair <= cls for cls in part.open_classes + part.closed_classes), (seed, k)
