@@ -24,7 +24,6 @@ from graphmon import (
     brute_force,
     build_graph,
     closed_neighborhood,
-    greedy_power_dominating_set,
     is_power_dominating_set,
     is_resolving_power_dominating,
     is_resolving_set,
@@ -458,7 +457,7 @@ def run_twin_contact_suite(seed: int, cases: int) -> list[str]:
     for i in range(cases):
         base = random_graph(rng, rng.randint(2, 8), rng.uniform(0.2, 0.6))
         g = with_planted_twins(rng, base, rng.randint(1, 4))
-        pds = set(greedy_power_dominating_set(g))
+        pds = set(power_domination_bounds(g, exact_limit=0).certificate)
         if not is_power_dominating_set(g, pds):
             bad.append(f"case {i}: greedy certificate is not a PDS")
             continue

@@ -19,7 +19,6 @@ from graphmon import (
     canonical_power_dominating_set,
     closed_neighborhood,
     fractal_cubic_network,
-    greedy_power_dominating_set,
     greedy_resolving_set,
     is_power_dominating_set,
     is_resolving_power_dominating,
@@ -27,6 +26,7 @@ from graphmon import (
     metric_dimension,
     metric_dimension_bounds,
     monitoring_closure,
+    power_domination_bounds,
     twin_lower_bound,
     twin_partition,
     twin_resolving_lower_bound,
@@ -297,11 +297,12 @@ def test_unhinted_full_report_on_fcn6():
 def test_greedy_pds_on_a_sparse_graph():
     g = random_tree_plus_chords(random.Random(1), 400, 200)
     start = time.perf_counter()
-    cert = greedy_power_dominating_set(g)
+    b = power_domination_bounds(g, exact_limit=0)
     elapsed = time.perf_counter() - start
-    ok = len(_naive_closure(g, cert)) == g.n
+    ok = b.upper_method == "greedy" and len(_naive_closure(g, b.certificate)) == g.n
     ok = verdict(
-        "greedy PDS on a random tree + n/2 chords at n = 400 power-dominates",
+        "greedy PDS on a random tree + n/2 chords at n = 400, pruned by the gamma_p"
+        " section, power-dominates",
         ok,
         elapsed,
         2.0,

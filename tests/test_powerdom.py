@@ -167,14 +167,26 @@ def test_twin_lower_bound_c4(c4):
 
 
 @pytest.mark.parametrize("d,expected,method", [(1, 4, "exact"), (2, 16, "exact"), (3, 64, "greedy")])
-def test_twin_lower_bound_fcn(d, expected, method):
-    # method names the search that runs: the branch and bound up to
-    # EXACT_CLASS_LIMIT classes, the greedy packing alone past it.
+def test_twin_lower_bound_fcn(monkeypatch, d, expected, method):
+    # method names the search that runs. The greedy packing meets each
+    # class's closed neighbourhood once with the vertices it occupies; the
+    # branch and bound also meets every pair of them for its conflict graph.
+    meets = []
+
+    class Territory(frozenset):
+        def __and__(self, other):
+            meets.append(other)
+            return super().__and__(other)
+
+    original = graphmon.powerdom.closed_neighborhood
+    monkeypatch.setattr(
+        graphmon.powerdom, "closed_neighborhood", lambda g, vs: Territory(original(g, vs))
+    )
     g = fractal_cubic_network(d)
     classes = twin_partition(g).open_classes
-    assert (len(classes) <= graphmon.powerdom.EXACT_CLASS_LIMIT) == (method == "exact")
     assert twin_lower_bound(g) == classes
     assert len(classes) == expected
+    assert (len(meets) > expected) == (method == "exact")
 
 
 def test_twin_lower_bound_without_open_classes():
@@ -273,9 +285,10 @@ def test_greedy_pds_is_valid_and_deterministic():
     rng = random.Random(43)
     for _ in range(30):
         g = random_connected_graph(rng, rng.randint(2, 18), rng.uniform(0.1, 0.4))
-        cert = greedy_power_dominating_set(g)
+        cert = power_domination_bounds(g, exact_limit=0).certificate
         assert is_power_dominating_set(g, cert)
-        assert greedy_power_dominating_set(g) == cert
+        assert cert <= greedy_power_dominating_set(g)
+        assert power_domination_bounds(g, exact_limit=0).certificate == cert
 
 
 def test_greedy_pds_matches_the_plain_loop():

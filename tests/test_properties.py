@@ -4,11 +4,11 @@ import random
 
 from graphmon import (
     brute_force,
-    greedy_power_dominating_set,
     is_power_dominating_set,
     is_resolving_set,
     metric_dimension,
     monitoring_closure,
+    power_domination_bounds,
 )
 
 from _helpers import (
@@ -82,7 +82,7 @@ def test_pds_superset_property():
     rng = random.Random(109)
     for _ in range(200):
         g = random_graph(rng, rng.randint(1, 12), rng.uniform(0.1, 0.6))
-        pds = greedy_power_dominating_set(g)
+        pds = power_domination_bounds(g, exact_limit=0).certificate
         assert is_power_dominating_set(g, pds)
         extra = set(pds) | random_seed_set(rng, g, high=3)
         assert is_power_dominating_set(g, extra)
