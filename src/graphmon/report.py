@@ -57,16 +57,17 @@ def build_report(
 
     exact_limit caps exhaustive searches by vertex count; the combined
     resolving-and-monitoring search uses at most ETA_P_EXACT_LIMIT
-    regardless, since its space grows the fastest. The hint is tried as
-    the upper certificate of gamma_p and dim, and a section it certifies
-    is tagged hint-certificate; eta_p prunes the union of their
-    certificates. Passing a fixed timestamp makes the output
-    byte-reproducible.
+    regardless, since its space grows the fastest. The hint is checked
+    whatever the checks, then tried as the upper certificate of gamma_p
+    and dim, and a section it certifies is tagged hint-certificate;
+    eta_p prunes the union of their certificates. Passing a fixed
+    timestamp makes the output byte-reproducible.
     """
     wanted = list(checks)
     unknown = sorted(set(wanted) - set(KNOWN_CHECKS))
     if unknown:
         raise ValueError(f"unknown checks {unknown}, expected a subset of {list(KNOWN_CHECKS)}")
+    hint = None if hint is None else g.check_vertex_set(hint)
 
     def section(b: Bounds, key: str) -> dict:
         field = SECTIONS[key][0]

@@ -72,6 +72,14 @@ def _twins_kept(part: TwinPartition) -> Callable[[VertexSet], bool]:
     return lambda rest: all(len(c - rest) <= 1 for c in classes)
 
 
+def _resolving_test(g: Graph) -> Callable[[VertexSet], bool]:
+    """A test of whether a set resolves g: _twins_kept, then the zipped rows.
+    Both are built on the first question, so a prune at its floor builds neither."""
+    row = cache(lambda v: bfs_distances(g, v))
+    twins_kept = cache(lambda: _twins_kept(twin_partition(g)))
+    return lambda rest: twins_kept()(rest) and _resolves(row, rest, g.n)
+
+
 def check_mask_memory(n: int, landmarks: int) -> None:
     """Raise LimitExceeded when a resolving check of this many landmarks on
     n vertices could hold more than MASK_MEMORY_LIMIT bytes of masks."""
@@ -328,7 +336,7 @@ def greedy_resolving_set(g: Graph) -> VertexSet:
 
     Seeds all but the largest member of every twin class (those picks
     are forced anyway), then repeatedly adds the vertex separating the
-    most still-colliding pairs, then drops redundant landmarks.
+    most still-colliding pairs; metric_dimension_bounds prunes it.
 
     The resolving check's collision classes under the seeds are where
     the add loop starts; when the seeds resolve (FCN among others) there
@@ -342,10 +350,7 @@ def greedy_resolving_set(g: Graph) -> VertexSet:
     Larger classes keep their members' distance rows, since by symmetry
     row a holds d(a, w) for every candidate w, and are counted per
     candidate until picks split them; the parts that split off get their
-    ints from those rows. The removal pass stops at the number of twin
-    seeds, which no resolving set can beat. Unlike the gamma_p greedy,
-    whose section prunes it, this greedy keeps its own removal pass,
-    because the pass reads the distance rows the greedy already holds.
+    ints from those rows.
     """
     _require_connected(g, "greedy resolving construction")
     n = g.n
@@ -360,7 +365,6 @@ def greedy_resolving_set(g: Graph) -> VertexSet:
             rows[v] = bfs_distances(g, v)
         return rows[v]
 
-    floor = len(chosen)
     fit, large = _by_fit((vs for _, vs in _collisions(g, chosen)), n)
     pairs = _first_masks(g, fit, large)
     while pairs or large:
@@ -370,19 +374,17 @@ def greedy_resolving_set(g: Graph) -> VertexSet:
         byte = 1 << 8 * w
         pairs = [m for m in pairs if m & byte]
         fit, large = _by_fit(_split(large, lambda u: rows[u][w]), n)
-        # The masks replace these rows, so pop them; a member picked
-        # later gets its row again for the removal pass.
+        # The masks replace these rows, so pop them.
         pairs += _row_masks(fit, rows.pop)
-    twins_kept = _twins_kept(part)
-    return prune(chosen, lambda rest: twins_kept(rest) and _resolves(row, rest, n), floor)
+    return frozenset(chosen)
 
 
 def metric_dimension_bounds(
     g: Graph, exact_limit: int = EXACT_LIMIT, hint: Iterable[int] | None = None
 ) -> Bounds:
     """Exact value when the graph is small enough; otherwise the twin lower
-    bound and a verified upper certificate (the hint when it resolves, the
-    greedy construction otherwise). The certificate is the basis."""
+    bound and a verified upper certificate: the hint when it resolves, else
+    the greedy construction pruned down to that bound. It is the basis."""
     _require_connected(g, "metric dimension")
     hint_set = None if hint is None else g.check_vertex_set(hint)
     if g.n <= exact_limit:
@@ -394,7 +396,7 @@ def metric_dimension_bounds(
     method = "twin-lower" if twin_lb >= 1 else "trivial-lower"
     if hint_set is not None and is_resolving_set(g, hint_set)[0]:
         return Bounds(lower, len(hint_set), hint_set, method, "hint-certificate")
-    basis = greedy_resolving_set(g)
+    basis = prune(greedy_resolving_set(g), _resolving_test(g), lower)
     return Bounds(lower, len(basis), basis, method, "greedy")
 
 
@@ -434,15 +436,8 @@ def resolving_power_domination_bounds(
         return Bounds(k, k, frozenset(best), "exact-search", "exact-search", examined)
 
     base = resolving.certificate | power.certificate
-    row = cache(lambda v: bfs_distances(g, v))
-    # Built on prune's first question: a union already at the lower bound
-    # asks none, so it costs no partition.
-    twins_kept = cache(lambda: _twins_kept(twin_partition(g)))
-    cert = prune(
-        base,
-        lambda rest: twins_kept()(rest) and is_power_dominating_set(g, rest) and _resolves(row, rest, n),
-        lower,
-    )
+    resolves = _resolving_test(g)
+    cert = prune(base, lambda rest: resolves(rest) and is_power_dominating_set(g, rest), lower)
     return Bounds(lower, len(cert), cert, "sandwich-lower", "greedy-union")
 
 

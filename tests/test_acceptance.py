@@ -341,11 +341,14 @@ def test_unhinted_dim_bounds_on_fcn5():
 def test_greedy_resolving_set_on_a_sparse_graph():
     g = random_tree_plus_chords(random.Random(1), 400, 200)
     start = time.perf_counter()
-    landmarks = greedy_resolving_set(g)
+    b = metric_dimension_bounds(g, exact_limit=0)
     elapsed = time.perf_counter() - start
-    ok = is_resolving_set(g, landmarks)[0] and len(landmarks) >= twin_resolving_lower_bound(g)
+    landmarks = b.certificate
+    ok = b.upper_method == "greedy" and is_resolving_set(g, landmarks)[0]
+    ok = ok and len(landmarks) >= twin_resolving_lower_bound(g) and landmarks <= greedy_resolving_set(g)
     ok = verdict(
-        "greedy resolving set on a random tree + n/2 chords at n = 400 resolves",
+        "greedy resolving set on a random tree + n/2 chords at n = 400, pruned by the dim"
+        " section, resolves",
         ok,
         elapsed,
         1.0,

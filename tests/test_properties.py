@@ -2,16 +2,24 @@ from __future__ import annotations
 
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from graphmon import (
     brute_force,
+    greedy_resolving_set,
     is_power_dominating_set,
     is_resolving_set,
     metric_dimension,
+    metric_dimension_bounds,
     monitoring_closure,
     power_domination_bounds,
+    resolving_power_domination_bounds,
 )
+from graphmon.resolving import CERTIFICATE_CHECKS
 
 from _helpers import (
+    greedy_resolving_set_reference,
     random_connected_graph,
     random_graph,
     random_seed_set,
@@ -76,6 +84,31 @@ def test_metric_dimension_agrees_with_oracle_on_planted_twins():
         value, basis = metric_dimension(g)
         oracle = brute_force(g, "dim")
         assert (value, frozenset(basis)) == (oracle.optimum, oracle.certificate)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    n=st.integers(2, 10),
+    p=st.floats(0.0, 0.6),
+    copies=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_greedy_certificates_are_one_minimal_above_their_lower_bound(n, p, copies, seed):
+    # Monitoring and resolving are both kept by supersets, so a set that
+    # prune left above its floor loses the property with any one member.
+    rng = random.Random(seed)
+    g = with_planted_twins(rng, random_connected_graph(rng, n, p), copies)
+    power = power_domination_bounds(g, exact_limit=0)
+    resolving = metric_dimension_bounds(g, exact_limit=0)
+    eta = resolving_power_domination_bounds(g, power, resolving, exact_limit=0)
+    for key, b in (("gamma_p", power), ("dim", resolving), ("eta_p", eta)):
+        check = CERTIFICATE_CHECKS[key]
+        assert check(g, b.certificate)
+        assert len(b.certificate) == b.upper >= b.lower
+        if b.upper > b.lower:
+            assert not any(check(g, b.certificate - {v}) for v in b.certificate)
+    assert resolving.certificate == greedy_resolving_set_reference(g)
+    assert resolving.certificate <= greedy_resolving_set(g)
 
 
 def test_pds_superset_property():

@@ -111,28 +111,50 @@ def test_greedy_resolving_set_computed_once(fcn2, monkeypatch):
 
 
 def test_unhinted_removal_passes_stop_at_the_lower_bound(monkeypatch):
-    # On FCN(3) the greedy gamma_p set already meets the twin-class bound,
-    # and so does the eta_p union, so neither pass checks a smaller set
-    # and the union builds no distance row.
-    checks = count_calls(monkeypatch, graphmon.powerdom, "is_power_dominating_set")
+    # On FCN(3) the greedy dim and gamma_p sets already meet their twin
+    # bounds, and so does the eta_p union, so no pass checks a smaller
+    # set, builds a distance row or partitions the twins again.
     rows = count_calls(monkeypatch, graphmon.resolving, "bfs_distances")
+    partitions = [
+        count_calls(monkeypatch, module, "twin_partition")
+        for module in (graphmon.powerdom, graphmon.resolving)
+    ]
+
+    def costs():
+        return len(rows), sum(map(len, partitions))
+
     spans = []
 
-    def spanning(module, name, counted):
+    def spanning(module, name, section):
         original = getattr(module, name)
 
         def wrapper(*args, **kwargs):
-            before = len(counted)
+            questions = []
+            if name == "prune":
+                kept, keeps, floor = args
+                args = kept, lambda rest: questions.append(rest) or keeps(rest), floor
+            before = costs()
             out = original(*args, **kwargs)
-            spans.append((name, len(counted) - before))
+            spans.append((section, len(questions), *map(int.__sub__, costs(), before)))
             return out
 
         monkeypatch.setattr(module, name, wrapper)
 
-    spanning(graphmon.powerdom, "prune", checks)
-    spanning(graphmon.report, "resolving_power_domination_bounds", rows)
+    spanning(graphmon.resolving, "prune", "dim or eta_p prune")
+    spanning(graphmon.powerdom, "prune", "gamma_p prune")
+    spanning(graphmon.report, "resolving_power_domination_bounds", "eta_p section")
     report = build_report(fractal_cubic_network(3), timestamp=STAMP)
-    assert spans == [("prune", 0), ("resolving_power_domination_bounds", 0)]
+    assert spans == [
+        ("dim or eta_p prune", 0, 0, 0),
+        ("gamma_p prune", 0, 0, 0),
+        ("dim or eta_p prune", 0, 0, 0),
+        ("eta_p section", 0, 0, 0),
+    ]
+    assert [report[k]["upper_method"] for k in ("gamma_p", "dim", "eta_p")] == [
+        "greedy",
+        "greedy",
+        "greedy-union",
+    ]
     assert [(report[k]["lower"], report[k]["upper"]) for k in ("gamma_p", "dim", "eta_p")] == [
         (64, 64)
     ] * 3
@@ -160,7 +182,7 @@ def test_hint_checked_once_per_kind(fcn2, monkeypatch):
 
 
 @pytest.mark.parametrize("hint", [[99], ["0001"]], ids=["out of range", "a label"])
-@pytest.mark.parametrize("checks", [["gamma_p"], ["dim"]], ids=["gamma_p", "dim"])
+@pytest.mark.parametrize("checks", [["gamma_p"], ["dim"], ["twins"]], ids=["gamma_p", "dim", "twins"])
 @pytest.mark.parametrize("exact_limit", [EXACT_LIMIT, 0], ids=["exact", "bounds"])
 def test_hint_validated_on_every_path(fcn1, hint, checks, exact_limit):
     with pytest.raises(GraphError, match="out of range"):

@@ -302,7 +302,7 @@ def test_twin_resolving_lower_bound_examples(c4, fcn1, fcn2, path4):
 
 def test_resolving_sets_hit_every_twin_pair(fcn1, fcn2):
     for g in (fcn1, fcn2):
-        landmarks = greedy_resolving_set(g)
+        landmarks = metric_dimension_bounds(g, exact_limit=0).certificate
         assert is_resolving_set(g, landmarks)[0]
         for cls in twin_partition(g).open_classes:
             assert landmarks & cls, "a resolving set must touch each twin pair"
@@ -312,10 +312,13 @@ def test_greedy_resolving_on_random_graphs():
     rng = random.Random(53)
     for _ in range(30):
         g = random_connected_graph(rng, rng.randint(1, 16), rng.uniform(0.15, 0.5))
-        landmarks = greedy_resolving_set(g)
-        assert is_resolving_set(g, landmarks)[0]
-        assert len(landmarks) >= twin_resolving_lower_bound(g)
-        assert greedy_resolving_set(g) == landmarks
+        construction = greedy_resolving_set(g)
+        landmarks = metric_dimension_bounds(g, exact_limit=0).certificate
+        for s in (construction, landmarks):
+            assert is_resolving_set(g, s)[0]
+            assert len(s) >= twin_resolving_lower_bound(g)
+        assert landmarks <= construction
+        assert greedy_resolving_set(g) == construction
 
 
 def test_greedy_resolving_matches_naive_removal_pass():
@@ -323,7 +326,7 @@ def test_greedy_resolving_matches_naive_removal_pass():
     for _ in range(60):
         base = random_connected_graph(rng, rng.randint(2, 14), rng.uniform(0.1, 0.5))
         g = with_planted_twins(rng, base, rng.randint(0, 5))
-        assert greedy_resolving_set(g) == greedy_resolving_set_reference(g)
+        assert metric_dimension_bounds(g, exact_limit=0).certificate == greedy_resolving_set_reference(g)
 
 
 @pytest.mark.parametrize("twins", [0, 6])
@@ -336,7 +339,7 @@ def test_greedy_resolving_matches_reference_on_sparse_graphs(n, twins):
         g = random_tree_plus_chords(rng, n, rng.randint(0, n // 2))
         if twins:
             g = with_planted_twins(rng, g, rng.randint(1, twins))
-        assert greedy_resolving_set(g) == greedy_resolving_set_reference(g)
+        assert metric_dimension_bounds(g, exact_limit=0).certificate == greedy_resolving_set_reference(g)
 
 
 TWIN_FREE = {
@@ -357,7 +360,7 @@ def test_greedy_resolving_matches_reference_on_twin_free_graphs(name):
     # until a pick splits it into classes small enough for pair masks.
     g = TWIN_FREE[name]
     assert twin_resolving_lower_bound(g) == 0
-    assert greedy_resolving_set(g) == greedy_resolving_set_reference(g)
+    assert metric_dimension_bounds(g, exact_limit=0).certificate == greedy_resolving_set_reference(g)
 
 
 def test_greedy_resolving_builds_no_rows_when_the_twin_seeds_resolve(monkeypatch):
@@ -372,14 +375,15 @@ def test_greedy_resolving_builds_no_rows_when_the_twin_seeds_resolve(monkeypatch
         return original(kept, keeps, floor)
 
     monkeypatch.setattr(graphmon.resolving, "prune", recording)
-    landmarks = greedy_resolving_set(fractal_cubic_network(3))
+    landmarks = metric_dimension_bounds(fractal_cubic_network(3)).certificate
     assert landmarks == canonical_power_dominating_set(3)
     assert before_removal == [(0, 1)]
 
 
 def _rows_between_collisions_and_removal(monkeypatch, g):
-    """The greedy resolving set of g, and the bfs_distances calls it makes
-    after the kernel's collision classes and before the removal pass."""
+    """The dim section's greedy certificate of g, and the bfs_distances
+    calls its greedy makes after the kernel's collision classes and
+    before the section's removal pass."""
     rows = count_calls(monkeypatch, graphmon.resolving, "bfs_distances")
     marks = []
     collisions, prune = graphmon.resolving._collisions, graphmon.resolving.prune
@@ -395,7 +399,7 @@ def _rows_between_collisions_and_removal(monkeypatch, g):
 
     monkeypatch.setattr(graphmon.resolving, "_collisions", marking_collisions)
     monkeypatch.setattr(graphmon.resolving, "prune", marking_prune)
-    landmarks = greedy_resolving_set(g)
+    landmarks = metric_dimension_bounds(g, exact_limit=0).certificate
     start, end = marks
     return landmarks, end - start
 
@@ -558,6 +562,7 @@ def test_greedy_union_matches_naive_pruning():
         b = resolving_power_domination_bounds(g, power, resolving, exact_limit=0)
         assert b.lower == max(power.lower, resolving.lower)
         assert b.upper_method == "greedy-union"
+        assert resolving.upper_method == "greedy"
         assert resolving.certificate == greedy_resolving_set_reference(g)
         union = resolving.certificate | power.certificate
         assert b.certificate == greedy_union_reference(g, union)
