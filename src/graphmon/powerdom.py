@@ -224,13 +224,12 @@ def power_domination_bounds(
 ) -> Bounds:
     """Best-known bounds on the power domination number, with certificate.
 
-    Connected graphs up to exact_limit vertices are solved exactly by
-    trying every subset by size from 0 up, then in lexicographic order
-    (tagged exact-oracle); larger ones get the twin-class packing's lower
-    bound and a verified upper certificate: the hint when it
-    power-dominates, otherwise the greedy construction, pruned no
-    further than the lower bound. Disconnected graphs are handled per
-    component and summed.
+    Disconnected graphs are handled per component and summed. A connected
+    graph up to exact_limit vertices gets the first power-dominating subset
+    by size from 0 up, then in lexicographic order (tagged exact-oracle); a
+    larger one gets the twin-class packing's lower bound and the hint when
+    it power-dominates, else the greedy construction pruned no further than
+    that bound. One predicate, keeps, asks all three questions.
     """
     hint_set = None if hint is None else g.check_vertex_set(hint)
     comps = components(g)
@@ -245,8 +244,11 @@ def power_domination_bounds(
             certificate.update(old_ids[v] for v in res.certificate)
         return Bounds(lower, upper, frozenset(certificate), "componentwise", "componentwise")
 
+    def keeps(s: Iterable[int]) -> bool:
+        return is_power_dominating_set(g, s)
+
     if g.n <= exact_limit:
-        best, examined = smallest_subset(g.n, 0, lambda s: is_power_dominating_set(g, s))
+        best, examined = smallest_subset(g.n, 0, keeps)
         k = len(best)
         return Bounds(k, k, frozenset(best), "exact-oracle", "exact-oracle", examined)
 
@@ -254,9 +256,9 @@ def power_domination_bounds(
     # Every vertex set monitors the empty graph; any other needs a vertex.
     lower = max(min(1, g.n), len(packing))
     lower_method = "lemma2-lower" if packing else "trivial-lower"
-    if hint_set is not None and is_power_dominating_set(g, hint_set):
+    if hint_set is not None and keeps(hint_set):
         return Bounds(lower, len(hint_set), hint_set, lower_method, "hint-certificate")
-    cert = prune(greedy_power_dominating_set(g), lambda rest: is_power_dominating_set(g, rest), lower)
+    cert = prune(greedy_power_dominating_set(g), keeps, lower)
     return Bounds(lower, len(cert), cert, lower_method, "greedy")
 
 

@@ -61,20 +61,20 @@ def _resolves(row: Callable[[int], Sequence[int]], marks: Iterable[int], n: int)
     return n <= 1 or len(set(zip(*map(row, marks)))) == n
 
 
-def _twins_kept(part: TwinPartition) -> Callable[[VertexSet], bool]:
+def _twins_kept(part: TwinPartition) -> Callable[[Iterable[int]], bool]:
     """Whether a set leaves at most one vertex of each twin class out.
 
     Twins outside a landmark set share every distance code, so a set that
     fails this never resolves (the twin lemma); checked first, it spares
-    the dearer checks.
+    the dearer checks. The set may be any iterable of ids.
     """
     classes = part.open_classes + part.closed_classes
-    return lambda rest: all(len(c - rest) <= 1 for c in classes)
+    return lambda rest: all(len(c.difference(rest)) <= 1 for c in classes)
 
 
-def _resolving_test(g: Graph) -> Callable[[VertexSet], bool]:
+def _resolving_test(g: Graph) -> Callable[[Iterable[int]], bool]:
     """A test of whether a set resolves g: _twins_kept, then the zipped rows.
-    Both are built on the first question, so a prune at its floor builds neither."""
+    Each is built when first needed, so a prune at its floor builds neither."""
     row = cache(lambda v: bfs_distances(g, v))
     twins_kept = cache(lambda: _twins_kept(twin_partition(g)))
     return lambda rest: twins_kept()(rest) and _resolves(row, rest, g.n)
@@ -352,7 +352,6 @@ def greedy_resolving_set(g: Graph) -> VertexSet:
     candidate until picks split them; the parts that split off get their
     ints from those rows.
     """
-    _require_connected(g, "greedy resolving construction")
     n = g.n
     part = twin_partition(g)
     chosen: set[int] = set()
@@ -401,10 +400,10 @@ def metric_dimension_bounds(
 
 
 def is_resolving_power_dominating(g: Graph, seeds: Iterable[int]) -> bool:
-    """Whether the set is simultaneously resolving and power dominating."""
-    members = g.check_vertex_set(seeds)
-    _require_connected(g, "resolving power domination")
-    return is_power_dominating_set(g, members) and is_resolving_set(g, members)[0]
+    """Whether the set both resolves and power-dominates g. The resolving check
+    comes first: it validates the ids and refuses a disconnected graph."""
+    members = frozenset(seeds)
+    return is_resolving_set(g, members)[0] and is_power_dominating_set(g, members)
 
 
 def resolving_power_domination_bounds(
@@ -418,26 +417,24 @@ def resolving_power_domination_bounds(
     power and resolving are what power_domination_bounds and
     metric_dimension_bounds return for this graph and hint. A resolving
     power dominating set is both, so the larger of their lower bounds is
-    the lower bound here. Small graphs are solved exactly by searching
-    subset sizes upward from it. Larger ones get the union of the two
-    certificates, which resolves and monitors, pruned no further than
-    the lower bound; a shared hint is pruned like any other union.
+    the lower bound here. One test, keeps (the twin lemma, the zipped
+    rows, then monitoring), takes a small graph's first subset by size
+    upward from that bound, and prunes a larger graph's union of the two
+    certificates, a shared hint included, no further than the bound.
     """
     _require_connected(g, "resolving power domination")
-    n = g.n
     lower = max(power.lower, resolving.lower)
+    resolves = _resolving_test(g)
 
-    if n <= exact_limit:
-        row = [bfs_distances(g, v) for v in range(n)].__getitem__
-        best, examined = smallest_subset(
-            n, lower, lambda s: _resolves(row, s, n) and is_power_dominating_set(g, s)
-        )
+    def keeps(s: Iterable[int]) -> bool:
+        return resolves(s) and is_power_dominating_set(g, s)
+
+    if g.n <= exact_limit:
+        best, examined = smallest_subset(g.n, lower, keeps)
         k = len(best)
         return Bounds(k, k, frozenset(best), "exact-search", "exact-search", examined)
 
-    base = resolving.certificate | power.certificate
-    resolves = _resolving_test(g)
-    cert = prune(base, lambda rest: resolves(rest) and is_power_dominating_set(g, rest), lower)
+    cert = prune(resolving.certificate | power.certificate, keeps, lower)
     return Bounds(lower, len(cert), cert, "sandwich-lower", "greedy-union")
 
 

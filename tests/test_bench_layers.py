@@ -82,3 +82,18 @@ def test_traced_run_meets_the_tracers_assumptions():
     # verify_report reaches is_resolving_set through the module attribute
     # the tracer wraps, not through a function object held elsewhere.
     assert out["verify_resolving_calls"] >= 1
+
+
+def test_bench_selftest_passes():
+    # The benchmark's checker must accept graphmon's genuine reports and
+    # reject tampered ones; a report change it refuses fails here first.
+    repo = TRACING.parent.parent
+    proc = subprocess.run(
+        [sys.executable, "bench/selftest.py"],
+        cwd=repo,
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import graphmon.core
 import graphmon.resolving
 from graphmon import (
     Bounds,
@@ -540,6 +541,9 @@ def test_twins_kept_allows_one_vertex_out_per_class(c4):
     assert twins_kept(frozenset(range(4)))
     assert twins_kept(frozenset({c4.index("00"), c4.index("01")}))
     assert not twins_kept(frozenset({c4.index("01"), c4.index("10")}))
+    # The exact searches ask it of tuples.
+    assert twins_kept((c4.index("00"), c4.index("01")))
+    assert not twins_kept((c4.index("01"), c4.index("10")))
 
 
 def test_greedy_union_matches_naive_pruning():
@@ -578,6 +582,29 @@ def test_rpds_examples(fcn1, c4):
 def test_rpds_rejects_disconnected():
     with pytest.raises(GraphError):
         is_resolving_power_dominating(two_triangles(), [0, 3])
+
+
+def test_rpds_asks_connectivity_once(monkeypatch, fcn2):
+    # The resolving check, asked first, is the only connectivity check.
+    calls = count_calls(monkeypatch, graphmon.core, "components")
+    assert is_resolving_power_dominating(fcn2, canonical_power_dominating_set(2))
+    assert len(calls) == 1
+
+
+def test_greedy_resolving_rejects_disconnected():
+    with pytest.raises(GraphError, match="requires a connected graph, found 2"):
+        greedy_resolving_set(two_triangles())
+
+
+@pytest.mark.parametrize("exact_limit", [graphmon.resolving.ETA_P_EXACT_LIMIT, 0])
+def test_eta_bounds_build_one_resolving_test(monkeypatch, c4, exact_limit):
+    # The exact search and the union prune both ask the one test.
+    power = power_domination_bounds(c4, exact_limit=exact_limit)
+    resolving = metric_dimension_bounds(c4, exact_limit=exact_limit)
+    tests = count_calls(monkeypatch, graphmon.resolving, "_resolving_test")
+    b = resolving_power_domination_bounds(c4, power, resolving, exact_limit=exact_limit)
+    assert len(tests) == 1
+    assert b.upper_method == ("exact-search" if exact_limit else "greedy-union")
 
 
 def test_eta_bounds_c4(c4):
