@@ -70,6 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--dim", type=int, help="analyze a generated fractal cubic network")
     p_ana.add_argument(
         "--checks",
+        type=_parse_checks,
         default="all",
         help=f"comma-separated subset of {','.join(_dashed(KNOWN_CHECKS))} or all",
     )
@@ -115,32 +116,32 @@ def cmd_monitor(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _parse_checks(parser_error, raw: str) -> list[str]:
+def _parse_checks(raw: str) -> list[str]:
     parts = [part.strip() for part in raw.split(",") if part.strip()]
     if not parts:
-        parser_error("--checks must name at least one check")
+        raise argparse.ArgumentTypeError("must name at least one check")
     if "all" in parts:
         return list(KNOWN_CHECKS)
     names = _dashed(KNOWN_CHECKS)
     unknown = sorted(set(parts) - set(names))
     if unknown:
-        parser_error(f"unknown checks {unknown}; expected a subset of {sorted(names)} or all")
+        expected = f"expected a subset of {sorted(names)} or all"
+        raise argparse.ArgumentTypeError(f"unknown checks {unknown}; {expected}")
     return [names[p] for p in parts]
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    checks = _parse_checks(args.parser.error, args.checks)
     hint = None
     if args.dim is not None:
         hint = canonical_power_dominating_set(args.dim)
-        if DIM_CHECKS.intersection(checks):
+        if DIM_CHECKS.intersection(args.checks):
             # The report checks the canonical seeds as a resolving set of
             # FCN(d): refuse that before building the graph.
             check_mask_memory(vertex_count(args.dim), len(hint))
         g = fractal_cubic_network(args.dim)
     else:
         g = load_graph(args.graph)
-    report = build_report(g, checks=checks, exact_limit=args.exact_limit, hint=hint)
+    report = build_report(g, checks=args.checks, exact_limit=args.exact_limit, hint=hint)
     text = report_to_json(report)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
@@ -162,7 +163,6 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    args.parser = parser
     try:
         return args.func(args)
     except LimitExceeded as exc:

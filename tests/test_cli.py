@@ -203,6 +203,12 @@ def test_analyze_rejects_unknown_check(c4_file):
     assert "bogus" in proc.stderr
 
 
+def test_analyze_rejects_an_empty_check_list(c4_file):
+    proc = run_cli("analyze", "--graph", c4_file, "--checks", ",")
+    assert proc.returncode == 1
+    assert "at least one check" in proc.stderr
+
+
 def test_oracle_gamma_p(fcn1_file):
     proc = run_cli("oracle", "--graph", fcn1_file, "--problem", "gamma-p")
     assert proc.returncode == 0

@@ -297,8 +297,8 @@ def _grown(report: dict, key: str, label: str) -> dict:
 @pytest.mark.parametrize("checks", [["twins", "dim"], ["dim"]])
 @pytest.mark.parametrize("tag", ["twin-lower", "trivial-lower"])
 def test_verify_flags_dim_lower_above_the_twin_bound(fcn2, checks, tag):
-    # The census, when present, gives the twin classes; otherwise verify
-    # counts them afresh.
+    # Verify counts the twin classes afresh, whether or not the report
+    # carries a census.
     report = build_report(fcn2, checks=checks, timestamp=STAMP)
     assert report["dim"]["lower_method"] == "twin-lower"
     assert verify_report(fcn2, report) == []
@@ -340,6 +340,49 @@ def test_verify_lower_bounds_count_closed_twins_and_take_the_larger_side():
         extra = next(lbl for lbl in k4.labels if lbl not in report[key][field])
         bad = _grown(report, key, extra)
         assert verify_report(k4, bad) == [f"{key}: lower 4 exceeds {source} 3"]
+
+
+def _count_checks(monkeypatch) -> tuple[list, list]:
+    return (
+        count_calls(monkeypatch, graphmon.resolving, "is_resolving_set"),
+        count_calls(monkeypatch, graphmon.resolving, "is_power_dominating_set"),
+    )
+
+
+def test_verify_checks_each_property_once_per_set(fcn2, monkeypatch):
+    # The canonical hint is all three certificates: eta_p reads the dim and
+    # gamma_p verdicts on the one set.
+    report = build_report(fcn2, hint=canonical_power_dominating_set(2), timestamp=STAMP)
+    resolving, power = _count_checks(monkeypatch)
+    assert verify_report(fcn2, report) == []
+    assert (len(resolving), len(power)) == (1, 1)
+
+
+def test_verify_checks_a_distinct_eta_p_set_on_its_own(fcn2, monkeypatch):
+    report = build_report(fcn2, hint=canonical_power_dominating_set(2), timestamp=STAMP)
+    cert = report["eta_p"]["certificate"]
+    report["eta_p"].update(upper=17, certificate=[*cert, next(v for v in fcn2.labels if v not in cert)])
+    resolving, power = _count_checks(monkeypatch)
+    assert verify_report(fcn2, report) == []
+    assert (len(resolving), len(power)) == (2, 2)
+    # Resolving is asked first: a set that fails it is not asked to monitor.
+    report["eta_p"].update(lower=15, upper=15, certificate=cert[1:])
+    resolving.clear()
+    power.clear()
+    assert verify_report(fcn2, report) == ["eta_p: certificate does not resolve and monitor"]
+    assert (len(resolving), len(power)) == (2, 1)
+
+
+@pytest.mark.parametrize(
+    "checks, built", [(["twins", "dim"], 1), (["dim"], 1), (["twins", "gamma_p"], 1), (["gamma_p"], 0)]
+)
+def test_verify_builds_the_twin_census_at_most_once(fcn2, checks, built, monkeypatch):
+    # The census comparison and the dim twin cap read one census; a report
+    # that asks for neither builds none.
+    report = build_report(fcn2, checks=checks, timestamp=STAMP)
+    censuses = count_calls(monkeypatch, graphmon.report, "twin_report")
+    assert verify_report(fcn2, report) == []
+    assert len(censuses) == built
 
 
 def test_verify_messages_name_section_and_field(c4):
